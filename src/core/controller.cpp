@@ -1,15 +1,14 @@
 #include "core/controller.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/error.h"
 #include "durable/state_codec.h"
 #include "obs/obs.h"
 #include "obs/slo.h"
 #include "placement/budget.h"
-#include "placement/incremental.h"
 #include "placement/placement.h"
+#include "sim/tracker_codec.h"
 
 namespace burstq {
 
@@ -23,119 +22,51 @@ void ControllerConfig::validate() const {
 
 CloudController::CloudController(std::vector<PmSpec> pms,
                                  ControllerConfig config, Rng rng)
-    : pms_(std::move(pms)),
+    : fleet_(std::move(pms),
+             MapCalTable(config.ffd.max_vms_per_pm, OnOffParams{},
+                         config.ffd.rho, config.ffd.method),
+             config.ffd.sharded.shards, config.ffd.sharded.decision_budget),
       config_(config),
       rng_(rng),
-      table_(config.ffd.max_vms_per_pm, OnOffParams{}, config.ffd.rho,
-             config.ffd.method),
-      on_pm_(pms_.size()),
-      up_(pms_.size(), 1),
-      tracker_(pms_.empty() ? 1 : pms_.size(), config.policy.cvr_window),
+      tracker_(fleet_.n_pms(), config.policy.cvr_window),
       meter_(config.power, config.sigma_seconds) {
-  BURSTQ_REQUIRE(!pms_.empty(), "controller needs at least one PM");
   config_.validate();
-  for (const auto& p : pms_) p.validate();
   BURSTQ_REQUIRE(config_.slo == nullptr ||
-                     config_.slo->n_pms() == pms_.size(),
+                     config_.slo->n_pms() == fleet_.n_pms(),
                  "SLO tracker PM count must match the fleet");
-  index_.reset(pms_.size(), config_.ffd.sharded.shards);
-  refresh_all_keys();
 }
 
-std::size_t CloudController::next_home() {
-  const std::size_t home = route_seq_ % index_.shard_count();
-  ++route_seq_;
-  return home;
+void CloudController::require_live(TenantId id, const char* what) const {
+  BURSTQ_REQUIRE(tenant_live(id), what);
 }
 
-void CloudController::refresh_key(PmId pm) {
-  if (!up_[pm.value]) {
-    index_.set_key(pm.value, -std::numeric_limits<double>::infinity());
-    return;
-  }
-  // The controller keeps no per-PM aggregate caches (the hosted lists are
-  // short — at most d = max_vms_per_pm entries), so the key is recomputed
-  // by a bounded walk.
-  Resource rb_sum = 0.0;
-  Resource re_max = 0.0;
-  for (std::size_t s : on_pm_[pm.value]) {
-    rb_sum += tenants_[s].spec.rb;
-    re_max = std::max(re_max, tenants_[s].spec.re);
-  }
-  index_.set_key(pm.value,
-                 conservative_admit_key(pms_[pm.value].capacity,
-                                        on_pm_[pm.value].size(), rb_sum,
-                                        re_max, table_));
-}
-
-void CloudController::refresh_all_keys() {
-  for (std::size_t j = 0; j < pms_.size(); ++j) refresh_key(PmId{j});
-}
-
-std::vector<VmSpec> CloudController::hosted_specs(PmId pm) const {
-  std::vector<VmSpec> out;
-  out.reserve(on_pm_[pm.value].size());
-  for (std::size_t s : on_pm_[pm.value]) out.push_back(tenants_[s].spec);
-  return out;
-}
-
-std::optional<PmId> CloudController::first_fit(const VmSpec& vm,
-                                               std::size_t home, PmId skip) {
-  const auto outcome = index_.route(
-      vm.rb, home,
-      [&](std::size_t j) {
-        if (skip.valid() && j == skip.value) return false;
-        // Down PMs never reach here: their key is -inf.
-        return fits_with_reservation_specs(hosted_specs(PmId{j}), vm,
-                                           pms_[j].capacity, table_);
-      },
-      config_.ffd.sharded.decision_budget);
-  if (outcome.budget_exhausted)
-    BURSTQ_COUNT("placement.shard.budget_exhausted", 1);
-  if (outcome.pm == ShardedAdmitIndex::npos) return std::nullopt;
-  return PmId{outcome.pm};
+std::optional<PmId> CloudController::rehome(std::size_t slot) {
+  const auto target = fleet_.route(fleet_.slot(slot).spec, 0);
+  if (target) fleet_.attach(slot, *target);
+  return target;
 }
 
 std::optional<TenantId> CloudController::admit(const VmSpec& vm) {
   vm.validate();
-  const auto pm = first_fit(vm, next_home());
-  if (!pm) {
+  const auto slot = fleet_.admit(vm);
+  if (!slot) {
     ++stats_.rejections;
     return std::nullopt;
   }
-  std::size_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    slot = tenants_.size();
-    tenants_.emplace_back();
-  }
-  Tenant& t = tenants_[slot];
-  t.spec = vm;
-  t.chain = OnOffChain(vm.onoff);
-  t.chain.reset_stationary(rng_);
-  t.pm = *pm;
-  t.live = true;
-  on_pm_[pm->value].push_back(slot);
-  refresh_key(*pm);
+  OnOffChain chain(vm.onoff);
+  chain.reset_stationary(rng_);
+  if (*slot == chains_.size())
+    chains_.push_back(chain);
+  else
+    chains_[*slot] = chain;
   ++stats_.admissions;
   ++stats_.vms_hosted;
-  return TenantId{slot};
+  return TenantId{*slot};
 }
 
 void CloudController::depart(TenantId id) {
-  BURSTQ_REQUIRE(
-      id.valid() && id.slot < tenants_.size() && tenants_[id.slot].live,
-      "depart on an invalid or dead tenant");
-  Tenant& t = tenants_[id.slot];
-  if (t.pm.valid()) {
-    auto& list = on_pm_[t.pm.value];
-    const auto it = std::find(list.begin(), list.end(), id.slot);
-    BURSTQ_ASSERT(it != list.end(), "controller PM lists out of sync");
-    list.erase(it);
-    refresh_key(t.pm);
-  } else {
+  require_live(id, "depart on an invalid or dead tenant");
+  if (!fleet_.slot(id.slot).pm.valid()) {
     // Parked in the post-crash admission queue; departing just removes it.
     const auto it = std::find_if(
         queue_.begin(), queue_.end(),
@@ -143,68 +74,47 @@ void CloudController::depart(TenantId id) {
     BURSTQ_ASSERT(it != queue_.end(), "unplaced tenant missing from queue");
     queue_.erase(it);
   }
-  t.live = false;
-  free_slots_.push_back(id.slot);
+  fleet_.release(id.slot);
   ++stats_.departures;
   --stats_.vms_hosted;
 }
 
 bool CloudController::resize(TenantId id, const VmSpec& new_spec) {
-  BURSTQ_REQUIRE(
-      id.valid() && id.slot < tenants_.size() && tenants_[id.slot].live,
-      "resize on an invalid or dead tenant");
+  require_live(id, "resize on an invalid or dead tenant");
   new_spec.validate();
-  Tenant& t = tenants_[id.slot];
-  const bool chain_restart = !(t.spec.onoff.p_on == new_spec.onoff.p_on &&
-                               t.spec.onoff.p_off == new_spec.onoff.p_off);
+  const VmSpec& old_spec = fleet_.slot(id.slot).spec;
+  const bool chain_restart = !(old_spec.onoff.p_on == new_spec.onoff.p_on &&
+                               old_spec.onoff.p_off == new_spec.onoff.p_off);
+  const PmId from = fleet_.slot(id.slot).pm;
 
-  if (!t.pm.valid()) {
+  if (!from.valid()) {
     // Parked in the post-crash queue: just swap the spec; the queue drain
     // re-places it under the new size.
-    t.spec = new_spec;
+    fleet_.set_spec(id.slot, new_spec);
   } else {
-    const PmId pm = t.pm;
-    // Fast path: the current PM still satisfies Eq. (17) with the
-    // resized spec alongside its unchanged co-residents.
-    std::vector<VmSpec> others;
-    others.reserve(on_pm_[pm.value].size() - 1);
-    for (std::size_t s : on_pm_[pm.value])
-      if (s != id.slot) others.push_back(tenants_[s].spec);
-    if (fits_with_reservation_specs(others, new_spec, pms_[pm.value].capacity,
-                                    table_)) {
-      t.spec = new_spec;
-      refresh_key(pm);
-    } else {
-      // Detach, then route the resized tenant with its current PM's shard
-      // as home (locality-preserving and deterministic).
-      auto& list = on_pm_[pm.value];
-      list.erase(std::find(list.begin(), list.end(), id.slot));
-      refresh_key(pm);
-      const auto target = first_fit(new_spec, index_.shard_of(pm.value));
-      if (!target) {
-        // Roll back: the original spec on the original PM is always
-        // feasible (that exact hosted set satisfied Eq. 17 before).
-        on_pm_[pm.value].push_back(id.slot);
-        refresh_key(pm);
+    // In place when Eq. (17) still holds; else routed with the current
+    // PM's shard as home (locality-preserving and deterministic).
+    switch (fleet_.resize(id.slot, new_spec)) {
+      case FleetState::ResizeOutcome::kInPlace:
+        break;
+      case FleetState::ResizeOutcome::kRejected:
         ++stats_.resize_rejections;
         BURSTQ_COUNT("controller.resize.rejected", 1);
         return false;
-      }
-      t.spec = new_spec;
-      t.pm = *target;
-      on_pm_[target->value].push_back(id.slot);
-      refresh_key(*target);
-      ++stats_.resize_migrations;
-      BURSTQ_COUNT("controller.resize.moved", 1);
-      BURSTQ_EVENT(obs::EventLevel::kDecisions, "resize.migrate",
-                   {"t", stats_.slots}, {"tenant", id.slot},
-                   {"from", pm.value}, {"to", target->value});
+      case FleetState::ResizeOutcome::kMoved:
+        ++stats_.resize_migrations;
+        BURSTQ_COUNT("controller.resize.moved", 1);
+        BURSTQ_EVENT(obs::EventLevel::kDecisions, "resize.migrate",
+                     {"t", stats_.slots}, {"tenant", id.slot},
+                     {"from", from.value},
+                     {"to", fleet_.slot(id.slot).pm.value});
+        break;
     }
   }
 
   if (chain_restart) {
-    t.chain = OnOffChain(new_spec.onoff);
-    t.chain.reset_stationary(rng_);
+    chains_[id.slot] = OnOffChain(new_spec.onoff);
+    chains_[id.slot].reset_stationary(rng_);
   }
   ++stats_.resizes;
   BURSTQ_COUNT("controller.resizes", 1);
@@ -212,27 +122,19 @@ bool CloudController::resize(TenantId id, const VmSpec& new_spec) {
 }
 
 void CloudController::inject_pm_crash(PmId pm) {
-  BURSTQ_REQUIRE(pm.valid() && pm.value < pms_.size(),
+  BURSTQ_REQUIRE(pm.valid() && pm.value < fleet_.n_pms(),
                  "inject_pm_crash on an out-of-range PM");
-  if (!up_[pm.value]) return;
-  up_[pm.value] = 0;
-  refresh_key(pm);  // -inf: routing skips the dead host entirely
+  if (!fleet_.up(pm)) return;
+  // Evacuate: the crashed PM's list is detached up front so routing never
+  // counts the dead host's tenants against anything.
+  const std::vector<std::size_t> victims = fleet_.take_down(pm);
   ++stats_.pm_crashes;
   BURSTQ_COUNT("fault.pm.crashes", 1);
   BURSTQ_EVENT(obs::EventLevel::kDecisions, "fault.pm.crash",
                {"t", stats_.slots}, {"pm", pm.value});
 
-  // Evacuate: the crashed PM's list is consumed up front so first_fit
-  // never counts the dead host's tenants against anything.
-  const std::vector<std::size_t> victims = std::move(on_pm_[pm.value]);
-  on_pm_[pm.value].clear();
   for (std::size_t s : victims) {
-    Tenant& t = tenants_[s];
-    t.pm = PmId{};
-    if (const auto target = first_fit(t.spec, 0)) {
-      t.pm = *target;
-      on_pm_[target->value].push_back(s);
-      refresh_key(*target);
+    if (const auto target = rehome(s)) {
       ++stats_.evacuations;
       BURSTQ_COUNT("fault.evacuations", 1);
       BURSTQ_EVENT(obs::EventLevel::kDecisions, "fault.evacuate",
@@ -240,7 +142,7 @@ void CloudController::inject_pm_crash(PmId pm) {
                    {"to", target->value});
     } else {
       queue_.push_back(QueuedTenant{
-          s, 0, stats_.slots + config_.recovery.backoff_base_slots});
+          s, 0, stats_.slots + fault::backoff_delay(config_.recovery, 0)});
       ++stats_.evac_queued;
       BURSTQ_COUNT("fault.queue.enqueued", 1);
       BURSTQ_EVENT(obs::EventLevel::kDecisions, "fault.queue.enqueue",
@@ -251,24 +153,14 @@ void CloudController::inject_pm_crash(PmId pm) {
 }
 
 void CloudController::inject_pm_recover(PmId pm) {
-  BURSTQ_REQUIRE(pm.valid() && pm.value < pms_.size(),
+  BURSTQ_REQUIRE(pm.valid() && pm.value < fleet_.n_pms(),
                  "inject_pm_recover on an out-of-range PM");
-  if (up_[pm.value]) return;
-  up_[pm.value] = 1;
-  refresh_key(pm);
+  if (fleet_.up(pm)) return;
+  fleet_.bring_up(pm);
   ++stats_.pm_recoveries;
   BURSTQ_COUNT("fault.pm.recoveries", 1);
   BURSTQ_EVENT(obs::EventLevel::kDecisions, "fault.pm.recover",
                {"t", stats_.slots}, {"pm", pm.value});
-}
-
-std::size_t CloudController::backoff_delay(std::size_t retries) const {
-  const std::size_t cap = config_.recovery.backoff_cap_slots;
-  std::size_t delay = config_.recovery.backoff_base_slots;
-  const std::size_t exponent =
-      std::min(retries, config_.recovery.max_retries);
-  for (std::size_t i = 0; i < exponent && delay < cap; ++i) delay *= 2;
-  return std::min(delay, cap);
 }
 
 void CloudController::drain_queue() {
@@ -277,18 +169,15 @@ void CloudController::drain_queue() {
     ++q.retries;
     ++stats_.retries;
     BURSTQ_COUNT("migration.retries", 1);
-    Tenant& t = tenants_[q.slot];
-    if (const auto target = first_fit(t.spec, 0)) {
-      t.pm = *target;
-      on_pm_[target->value].push_back(q.slot);
-      refresh_key(*target);
+    if (const auto target = rehome(q.slot)) {
       BURSTQ_COUNT("fault.queue.drained", 1);
       BURSTQ_EVENT(obs::EventLevel::kDecisions, "fault.queue.admit",
                    {"t", stats_.slots}, {"tenant", q.slot},
                    {"pm", target->value}, {"retries", q.retries});
       q.slot = static_cast<std::size_t>(-1);  // admitted; erased below
     } else {
-      q.next_attempt = stats_.slots + backoff_delay(q.retries);
+      q.next_attempt =
+          stats_.slots + fault::backoff_delay(config_.recovery, q.retries);
     }
   }
   std::erase_if(queue_, [](const QueuedTenant& q) {
@@ -296,28 +185,22 @@ void CloudController::drain_queue() {
   });
 }
 
-bool CloudController::fleet_degraded() const {
-  return !queue_.empty() ||
-         std::find(up_.begin(), up_.end(), std::uint8_t{0}) != up_.end();
-}
-
-void CloudController::run_scheduler(const std::vector<Resource>& /*load*/,
-                                    std::vector<Resource>& mutable_load) {
-  for (std::size_t j = 0; j < pms_.size(); ++j) {
+void CloudController::run_scheduler(std::vector<Resource>& load) {
+  for (std::size_t j = 0; j < fleet_.n_pms(); ++j) {
     const PmId source{j};
-    if (on_pm_[j].empty()) continue;
+    const auto hosted = fleet_.hosted(source);
+    if (hosted.empty()) continue;
     if (tracker_.windowed_cvr(source) <= config_.policy.rho) continue;
 
     // Victim: the spiking tenant with the largest demand, falling back
     // to the largest-demand tenant overall (same rule as select_victim).
     std::size_t best_on = 0;
     double best_on_demand = -1.0;
-    std::size_t best_any = on_pm_[j].front();
+    std::size_t best_any = hosted.front();
     double best_any_demand = -1.0;
-    for (std::size_t s : on_pm_[j]) {
-      const Tenant& t = tenants_[s];
-      const double d = t.spec.demand(t.chain.state());
-      if (t.chain.on() && d > best_on_demand) {
+    for (std::size_t s : hosted) {
+      const double d = fleet_.slot(s).spec.demand(chains_[s].state());
+      if (chains_[s].on() && d > best_on_demand) {
         best_on_demand = d;
         best_on = s;
       }
@@ -326,24 +209,17 @@ void CloudController::run_scheduler(const std::vector<Resource>& /*load*/,
         best_any = s;
       }
     }
-    const std::size_t victim_slot =
-        best_on_demand >= 0.0 ? best_on : best_any;
-    Tenant& victim = tenants_[victim_slot];
-    const double vdemand = victim.spec.demand(victim.chain.state());
+    const std::size_t victim = best_on_demand >= 0.0 ? best_on : best_any;
+    const VmSpec& spec = fleet_.slot(victim).spec;
+    const double vdemand = spec.demand(chains_[victim].state());
 
     // Target: reservation-aware by default in the controller — this is
     // the burstiness-aware component an operator deploys.  Routed through
     // the shard index like an arrival, skipping the violating source.
-    const std::optional<PmId> target = first_fit(victim.spec, 0, source);
-    if (target) {
-      auto& list = on_pm_[j];
-      list.erase(std::find(list.begin(), list.end(), victim_slot));
-      on_pm_[target->value].push_back(victim_slot);
-      victim.pm = *target;
-      refresh_key(source);
-      refresh_key(*target);
-      mutable_load[j] -= vdemand;
-      mutable_load[target->value] += vdemand;
+    if (const auto target = fleet_.route(spec, 0, source)) {
+      fleet_.move(victim, *target);
+      load[j] -= vdemand;
+      load[target->value] += vdemand;
       ++stats_.runtime_migrations;
       tracker_.reset_window(source);
       tracker_.reset_window(*target);
@@ -362,16 +238,16 @@ void CloudController::run_maintenance() {
   std::vector<VmSpec> live;
   std::vector<std::size_t> slot_of;  // compact index -> tenant slot
   live.reserve(stats_.vms_hosted);
-  for (std::size_t s = 0; s < tenants_.size(); ++s) {
-    if (!tenants_[s].live) continue;
-    live.push_back(tenants_[s].spec);
+  for (std::size_t s = 0; s < fleet_.slots().size(); ++s) {
+    if (!fleet_.live(s)) continue;
+    live.push_back(fleet_.slot(s).spec);
     slot_of.push_back(s);
   }
   const OnOffParams rounded =
       round_uniform_params(live, config_.ffd.rounding);
   try {
-    table_ = MapCalTable(config_.ffd.max_vms_per_pm, rounded,
-                         config_.ffd.rho, config_.ffd.method);
+    fleet_.set_table(MapCalTable(config_.ffd.max_vms_per_pm, rounded,
+                                 config_.ffd.rho, config_.ffd.method));
     table_params_ = rounded;
   } catch (const SolverUnavailable&) {
     // Solver outage mid-maintenance: keep consolidating with the previous
@@ -385,68 +261,60 @@ void CloudController::run_maintenance() {
   // Compact instance + placement view for the budget consolidator.
   ProblemInstance inst;
   inst.vms = live;
-  inst.pms = pms_;
-  Placement view(live.size(), pms_.size());
+  inst.pms = fleet_.pms();
+  Placement view(live.size(), fleet_.n_pms());
   for (std::size_t i = 0; i < live.size(); ++i)
-    view.assign(VmId{i}, tenants_[slot_of[i]].pm);
+    view.assign(VmId{i}, fleet_.slot(slot_of[i]).pm);
 
   const auto result = consolidate_with_budget(
-      inst, view, table_, config_.maintenance_budget);
+      inst, view, fleet_.table(), config_.maintenance_budget);
 
   // Apply the executed moves back to the live fleet.
   for (const auto& move : result.moves) {
-    const std::size_t s = slot_of[move.vm.value];
-    auto& from_list = on_pm_[move.from.value];
-    from_list.erase(std::find(from_list.begin(), from_list.end(), s));
-    on_pm_[move.to.value].push_back(s);
-    tenants_[s].pm = move.to;
+    fleet_.move(slot_of[move.vm.value], move.to);
     ++stats_.maintenance_migrations;
   }
-
-  // The table may have changed and the moves touched many PMs: rebuild
-  // every admissibility key once, at the end of the window.
-  refresh_all_keys();
 }
 
 void CloudController::tick() {
   ++stats_.slots;
+  const std::vector<PmSpec>& pms = fleet_.pms();
 
   // 1. Workload evolution + demands.
-  std::vector<Resource> load(pms_.size(), 0.0);
-  for (std::size_t j = 0; j < pms_.size(); ++j) {
-    for (std::size_t s : on_pm_[j]) {
-      Tenant& t = tenants_[s];
-      t.chain.step(rng_);
-      load[j] += t.spec.demand(t.chain.state());
+  std::vector<Resource> load(pms.size(), 0.0);
+  for (std::size_t j = 0; j < pms.size(); ++j) {
+    for (std::size_t s : fleet_.hosted(PmId{j})) {
+      chains_[s].step(rng_);
+      load[j] += fleet_.slot(s).spec.demand(chains_[s].state());
     }
   }
 
   // 2. Violation bookkeeping.
-  for (std::size_t j = 0; j < pms_.size(); ++j) {
-    if (on_pm_[j].empty()) continue;
+  for (std::size_t j = 0; j < pms.size(); ++j) {
+    if (fleet_.hosted(PmId{j}).empty()) continue;
     const bool violated =
-        load[j] > pms_[j].capacity * (1.0 + kCapacityEpsilon);
+        load[j] > pms[j].capacity * (1.0 + kCapacityEpsilon);
     tracker_.record(PmId{j}, violated);
     if (config_.slo != nullptr) config_.slo->record(PmId{j}, violated);
   }
   if (config_.slo != nullptr) config_.slo->end_slot();
 
   // 3. Dynamic scheduling.
-  run_scheduler(load, load);
+  run_scheduler(load);
 
   // 3b. Crash victims whose backoff expired retry placement.
   if (!queue_.empty()) drain_queue();
 
   // 4. Energy.
-  for (std::size_t j = 0; j < pms_.size(); ++j) {
-    if (on_pm_[j].empty()) continue;
-    meter_.add_pm_slot(load[j] / pms_[j].capacity);
+  for (std::size_t j = 0; j < pms.size(); ++j) {
+    if (fleet_.hosted(PmId{j}).empty()) continue;
+    meter_.add_pm_slot(load[j] / pms[j].capacity);
   }
 
   // 5. Maintenance window — deferred while the fleet is degraded (a down
   // PM or queued tenants): consolidation would fight the recovery path
   // and the compact placement view below requires every tenant placed.
-  if (config_.maintenance_every > 0 && !fleet_degraded() &&
+  if (config_.maintenance_every > 0 && queue_.empty() && !fleet_.any_down() &&
       stats_.slots % config_.maintenance_every == 0)
     run_maintenance();
 
@@ -456,48 +324,25 @@ void CloudController::tick() {
   stats_.energy_wh = meter_.watt_hours();
 }
 
-std::size_t CloudController::pms_used() const {
-  std::size_t used = 0;
-  for (const auto& list : on_pm_)
-    if (!list.empty()) ++used;
-  return used;
-}
-
 PmId CloudController::pm_of(TenantId id) const {
-  BURSTQ_REQUIRE(
-      id.valid() && id.slot < tenants_.size() && tenants_[id.slot].live,
-      "pm_of on an invalid or dead tenant");
-  return tenants_[id.slot].pm;
+  require_live(id, "pm_of on an invalid or dead tenant");
+  return fleet_.slot(id.slot).pm;
 }
 
 const VmSpec& CloudController::spec_of(TenantId id) const {
-  BURSTQ_REQUIRE(
-      id.valid() && id.slot < tenants_.size() && tenants_[id.slot].live,
-      "spec_of on an invalid or dead tenant");
-  return tenants_[id.slot].spec;
+  require_live(id, "spec_of on an invalid or dead tenant");
+  return fleet_.slot(id.slot).spec;
 }
 
 bool CloudController::reservation_invariant_holds() const {
-  for (std::size_t j = 0; j < pms_.size(); ++j) {
-    const auto hosted = hosted_specs(PmId{j});
-    if (!up_[j] && !hosted.empty()) return false;  // dead PMs host nothing
-    if (hosted.empty()) continue;
-    if (hosted.size() > table_.max_vms_per_pm()) return false;
-    if (reserved_footprint_specs(hosted, table_) >
-        pms_[j].capacity * (1.0 + kCapacityEpsilon))
+  if (!fleet_.invariant_holds()) return false;
+  // Recovery invariant: every live tenant is placed (on an up PM, which
+  // the fleet checks) or queued.
+  for (std::size_t s = 0; s < fleet_.slots().size(); ++s) {
+    if (!fleet_.live(s) || fleet_.slot(s).pm.valid()) continue;
+    if (std::none_of(queue_.begin(), queue_.end(),
+                     [s](const QueuedTenant& q) { return q.slot == s; }))
       return false;
-  }
-  // Recovery invariant: every live tenant is placed on an up PM or queued.
-  for (std::size_t s = 0; s < tenants_.size(); ++s) {
-    const Tenant& t = tenants_[s];
-    if (!t.live) continue;
-    if (t.pm.valid()) {
-      if (!up_[t.pm.value]) return false;
-    } else if (std::none_of(
-                   queue_.begin(), queue_.end(),
-                   [s](const QueuedTenant& q) { return q.slot == s; })) {
-      return false;
-    }
   }
   return true;
 }
@@ -526,29 +371,35 @@ std::uint32_t controller_config_crc(const std::vector<PmSpec>& pms,
 std::string CloudController::export_state() const {
   durable::StateWriter w;
   w.u64(1);  // blob version
-  w.u32(controller_config_crc(pms_, config_));
+  w.u32(controller_config_crc(fleet_.pms(), config_));
 
   for (const std::uint64_t s : rng_.state()) w.u64(s);
   w.f64(table_params_.p_on);
   w.f64(table_params_.p_off);
 
-  w.varint(tenants_.size());
-  for (const Tenant& t : tenants_) {
+  const auto& slots = fleet_.slots();
+  w.varint(slots.size());
+  for (std::size_t s = 0; s < slots.size(); ++s) {
+    const FleetState::Slot& t = slots[s];
     w.boolean(t.live);
     if (!t.live) continue;  // the slot is on the free list
     w.f64(t.spec.onoff.p_on);
     w.f64(t.spec.onoff.p_off);
     w.f64(t.spec.rb);
     w.f64(t.spec.re);
-    w.u8(static_cast<std::uint8_t>(t.chain.state()));
+    w.u8(static_cast<std::uint8_t>(chains_[s].state()));
     w.varint(t.pm.valid() ? t.pm.value + 1 : 0);
   }
-  w.size_vec(free_slots_);
-  w.varint(on_pm_.size());
-  for (const auto& list : on_pm_) w.size_vec(list);
-  w.varint(up_.size());
-  for (const std::uint8_t b : up_) w.u8(b);
-  w.varint(route_seq_);
+  w.size_vec(fleet_.free_slots());
+  w.varint(fleet_.n_pms());
+  for (std::size_t j = 0; j < fleet_.n_pms(); ++j) {
+    const auto hosted = fleet_.hosted(PmId{j});
+    w.varint(hosted.size());
+    for (const std::size_t x : hosted) w.varint(x);
+  }
+  w.varint(fleet_.n_pms());
+  for (const std::uint8_t b : fleet_.up_mask()) w.u8(b);
+  w.varint(fleet_.route_seq());
 
   w.varint(queue_.size());
   for (const QueuedTenant& q : queue_) {
@@ -557,14 +408,7 @@ std::string CloudController::export_state() const {
     w.varint(q.next_attempt);
   }
 
-  const CvrTrackerState ts = tracker_.export_state();
-  w.varint(ts.pms.size());
-  for (const auto& pm : ts.pms) {
-    w.varint(pm.observed);
-    w.varint(pm.violated);
-    w.varint(pm.window.size());
-    for (const std::uint8_t b : pm.window) w.u8(b);
-  }
+  write_cvr_tracker(w, tracker_);
   w.f64(meter_.joules());
 
   w.varint(stats_.slots);
@@ -590,35 +434,7 @@ std::string CloudController::export_state() const {
   w.f64(stats_.max_cvr);
   w.f64(stats_.energy_wh);
 
-  w.boolean(config_.slo != nullptr);
-  if (config_.slo != nullptr) {
-    const obs::SloTrackerState ss = config_.slo->export_state();
-    w.varint(ss.pms.size());
-    for (const auto& pm : ss.pms) {
-      w.varint(pm.observed);
-      w.varint(pm.violated);
-      w.varint(pm.ring.size());
-      for (const std::uint8_t b : pm.ring) w.u8(b);
-      w.varint(pm.ring_observed);
-      w.varint(pm.ring_violated);
-    }
-    w.varint(ss.cur.size());
-    for (const std::uint8_t b : ss.cur) w.u8(b);
-    w.varint(ss.cluster_ring.size());
-    for (const auto& [o, v] : ss.cluster_ring) {
-      w.u32(o);
-      w.u32(v);
-    }
-    w.varint(ss.slots);
-    w.varint(ss.fast_obs);
-    w.varint(ss.fast_viol);
-    w.varint(ss.slow_obs);
-    w.varint(ss.slow_viol);
-    w.varint(ss.cum_obs);
-    w.varint(ss.cum_viol);
-    w.varint(ss.breaches);
-    w.boolean(ss.breaching);
-  }
+  write_slo_tracker(w, config_.slo);
 
   return w.take();
 }
@@ -626,7 +442,7 @@ std::string CloudController::export_state() const {
 void CloudController::import_state(std::string_view blob) {
   durable::StateReader r(blob, "controller state");
   if (r.u64() != 1) r.fail("unsupported controller state version");
-  if (r.u32() != controller_config_crc(pms_, config_))
+  if (r.u32() != controller_config_crc(fleet_.pms(), config_))
     r.fail("construction arguments do not match the stored state");
 
   std::array<std::uint64_t, 4> rs{};
@@ -634,29 +450,35 @@ void CloudController::import_state(std::string_view blob) {
   rng_.set_state(rs);
   table_params_.p_on = r.f64();
   table_params_.p_off = r.f64();
-  table_ = MapCalTable(config_.ffd.max_vms_per_pm, table_params_,
-                       config_.ffd.rho, config_.ffd.method);
+  fleet_.set_table(MapCalTable(config_.ffd.max_vms_per_pm, table_params_,
+                               config_.ffd.rho, config_.ffd.method));
 
-  const std::size_t n_tenants = r.varint();
-  tenants_.assign(n_tenants, Tenant{});
-  for (Tenant& t : tenants_) {
+  std::vector<FleetState::Slot> slots(r.varint());
+  chains_.assign(slots.size(), OnOffChain(OnOffParams{}));
+  for (std::size_t s = 0; s < slots.size(); ++s) {
+    FleetState::Slot& t = slots[s];
     t.live = r.boolean();
     if (!t.live) continue;
     t.spec.onoff.p_on = r.f64();
     t.spec.onoff.p_off = r.f64();
     t.spec.rb = r.f64();
     t.spec.re = r.f64();
-    t.chain = OnOffChain(t.spec.onoff,
-                         static_cast<VmState>(r.u8()));
+    chains_[s] = OnOffChain(t.spec.onoff, static_cast<VmState>(r.u8()));
     const std::size_t pm = r.varint();
     t.pm = pm == 0 ? PmId{} : PmId{pm - 1};
   }
-  free_slots_ = r.size_vec();
-  if (r.varint() != pms_.size()) r.fail("PM list count mismatch");
-  for (auto& list : on_pm_) list = r.size_vec();
-  if (r.varint() != pms_.size()) r.fail("PM liveness count mismatch");
-  for (std::uint8_t& b : up_) b = r.u8();
-  route_seq_ = r.varint();
+  std::vector<std::size_t> free_slots = r.size_vec();
+  std::vector<std::vector<std::size_t>> hosted(r.varint());
+  if (hosted.size() != fleet_.n_pms()) r.fail("PM list count mismatch");
+  for (auto& list : hosted) list = r.size_vec();
+  std::vector<std::uint8_t> up(r.varint());
+  if (up.size() != fleet_.n_pms()) r.fail("PM liveness count mismatch");
+  for (std::uint8_t& b : up) b = r.u8();
+  // Derived structures are rebuilt, never deserialized: the shard index
+  // and per-PM admissibility keys follow from the restored hosted sets
+  // and liveness exactly as in the constructor.
+  fleet_.restore(std::move(slots), std::move(free_slots), std::move(hosted),
+                 std::move(up), r.varint());
 
   queue_.assign(r.varint(), QueuedTenant{});
   for (QueuedTenant& q : queue_) {
@@ -665,17 +487,7 @@ void CloudController::import_state(std::string_view blob) {
     q.next_attempt = r.varint();
   }
 
-  CvrTrackerState ts;
-  ts.pms.resize(r.varint());
-  if (ts.pms.size() != tracker_.n_pms())
-    r.fail("CVR tracker PM count mismatch");
-  for (auto& pm : ts.pms) {
-    pm.observed = r.varint();
-    pm.violated = r.varint();
-    pm.window.resize(r.varint());
-    for (std::uint8_t& b : pm.window) b = r.u8();
-  }
-  tracker_.import_state(ts);
+  read_cvr_tracker(r, tracker_);
   meter_.restore_joules(r.f64());
 
   stats_.slots = r.varint();
@@ -701,45 +513,8 @@ void CloudController::import_state(std::string_view blob) {
   stats_.max_cvr = r.f64();
   stats_.energy_wh = r.f64();
 
-  const bool has_slo = r.boolean();
-  if (has_slo != (config_.slo != nullptr))
-    r.fail("SLO tracker presence mismatch");
-  if (has_slo) {
-    obs::SloTrackerState ss;
-    ss.pms.resize(r.varint());
-    for (auto& pm : ss.pms) {
-      pm.observed = r.varint();
-      pm.violated = r.varint();
-      pm.ring.resize(r.varint());
-      for (std::uint8_t& b : pm.ring) b = r.u8();
-      pm.ring_observed = r.varint();
-      pm.ring_violated = r.varint();
-    }
-    ss.cur.resize(r.varint());
-    for (std::uint8_t& b : ss.cur) b = r.u8();
-    ss.cluster_ring.resize(r.varint());
-    for (auto& [o, v] : ss.cluster_ring) {
-      o = r.u32();
-      v = r.u32();
-    }
-    ss.slots = r.varint();
-    ss.fast_obs = r.varint();
-    ss.fast_viol = r.varint();
-    ss.slow_obs = r.varint();
-    ss.slow_viol = r.varint();
-    ss.cum_obs = r.varint();
-    ss.cum_viol = r.varint();
-    ss.breaches = r.varint();
-    ss.breaching = r.boolean();
-    config_.slo->import_state(ss);
-  }
+  read_slo_tracker(r, config_.slo);
   r.expect_done();
-
-  // Derived structures are rebuilt, never deserialized: the shard index
-  // and per-PM admissibility keys follow from the restored hosted sets
-  // and liveness exactly as in the constructor.
-  index_.reset(pms_.size(), config_.ffd.sharded.shards);
-  refresh_all_keys();
 }
 
 }  // namespace burstq

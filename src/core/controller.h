@@ -9,8 +9,11 @@
 // constraint honest while reclaiming PMs during maintenance windows.
 //
 // The controller owns a *dynamic* fleet: VMs arrive and depart at any
-// slot, so it keeps its own per-VM chains rather than a fixed
-// WorkloadEnsemble.
+// slot.  The live reservation state (tenant slots, hosted lists, PM
+// liveness, shard routing) is a FleetState (placement/fleet.h), the same
+// class the online consolidator builds on; the controller adds the
+// per-slot ON-OFF chains, the tick loop with its scheduler and
+// maintenance, the post-crash admission queue, and the state codec.
 
 #pragma once
 
@@ -22,8 +25,8 @@
 
 #include "common/rng.h"
 #include "fault/recovery.h"
+#include "placement/fleet.h"
 #include "placement/queuing_ffd.h"
-#include "placement/sharded.h"
 #include "queuing/mapcal.h"
 #include "sim/energy.h"
 #include "sim/metrics.h"
@@ -128,18 +131,18 @@ class CloudController {
   /// next tick.  Idempotent on an up PM.
   void inject_pm_recover(PmId pm);
 
-  [[nodiscard]] bool pm_up(PmId pm) const { return up_[pm.value] != 0; }
-  [[nodiscard]] std::size_t n_pms() const { return pms_.size(); }
+  [[nodiscard]] bool pm_up(PmId pm) const { return fleet_.up(pm); }
+  [[nodiscard]] std::size_t n_pms() const { return fleet_.n_pms(); }
   /// True when `id` names a live (admitted, not departed) tenant — the
   /// validity precondition of depart/resize/pm_of/spec_of.
   [[nodiscard]] bool tenant_live(TenantId id) const {
-    return id.valid() && id.slot < tenants_.size() && tenants_[id.slot].live;
+    return fleet_.live(id.slot);
   }
   /// Tenants awaiting re-placement after a crash.
   [[nodiscard]] std::size_t queued_tenants() const { return queue_.size(); }
 
   [[nodiscard]] const ControllerStats& stats() const { return stats_; }
-  [[nodiscard]] std::size_t pms_used() const;
+  [[nodiscard]] std::size_t pms_used() const { return fleet_.pms_used(); }
   /// The hosting PM; an *invalid* PmId while the tenant sits in the
   /// post-crash admission queue.
   [[nodiscard]] PmId pm_of(TenantId id) const;
@@ -162,58 +165,30 @@ class CloudController {
   void import_state(std::string_view blob);
 
  private:
-  struct Tenant {
-    VmSpec spec;
-    OnOffChain chain{OnOffParams{}};
-    PmId pm{};
-    bool live{false};
-  };
-
   struct QueuedTenant {
     std::size_t slot{0};
     std::size_t retries{0};
     std::size_t next_attempt{0};  ///< earliest tick (stats_.slots) to retry
   };
 
-  [[nodiscard]] std::vector<VmSpec> hosted_specs(PmId pm) const;
-
-  /// Routes `vm` through the shard index (sharded.h): home shard first,
-  /// then the remaining shards in fixed order, confirming candidates with
-  /// the exact Eq. (17) walk and honouring the decision budget.  `skip`
-  /// excludes one PM (the scheduler's migration source).  With one shard
-  /// and no budget this is exactly the legacy linear scan over up PMs.
-  std::optional<PmId> first_fit(const VmSpec& vm, std::size_t home,
-                                PmId skip = PmId{});
-
-  /// Next round-robin home shard for arrivals.
-  std::size_t next_home();
-
-  /// Recomputes the admissibility key of one PM (all PMs) in the shard
-  /// index: -inf while the PM is down, else the conservative slack under
-  /// the current table and hosted set.
-  void refresh_key(PmId pm);
-  void refresh_all_keys();
-  void run_scheduler(const std::vector<Resource>& load,
-                     std::vector<Resource>& mutable_load);
+  /// Throws unless `id` names a live tenant.
+  void require_live(TenantId id, const char* what) const;
+  /// Routes a detached tenant from shard 0 and attaches it to the first
+  /// PM that admits it; nullopt (still detached) when none does.
+  std::optional<PmId> rehome(std::size_t slot);
+  void run_scheduler(std::vector<Resource>& load);
   void run_maintenance();
   void drain_queue();
-  [[nodiscard]] std::size_t backoff_delay(std::size_t retries) const;
-  [[nodiscard]] bool fleet_degraded() const;
 
-  std::vector<PmSpec> pms_;
+  FleetState fleet_;
   ControllerConfig config_;
   Rng rng_;
-  MapCalTable table_;
-  /// The uniform params table_ was last calibrated with (maintenance
-  /// recalibrates); serialized so import_state can rebuild the table.
+  /// The uniform params the mapping table was last calibrated with
+  /// (maintenance recalibrates); serialized so import_state can rebuild
+  /// the table.
   OnOffParams table_params_{};
-  std::vector<Tenant> tenants_;
-  std::vector<std::size_t> free_slots_;
-  std::vector<std::vector<std::size_t>> on_pm_;  ///< tenant slots per PM
-  std::vector<std::uint8_t> up_;                 ///< PM liveness (1 = up)
-  ShardedAdmitIndex index_;   ///< per-shard slack trees (down PMs: -inf)
-  std::size_t route_seq_{0};  ///< round-robin arrival counter
-  std::vector<QueuedTenant> queue_;              ///< FIFO, crash victims
+  std::vector<OnOffChain> chains_;  ///< per tenant slot
+  std::vector<QueuedTenant> queue_;  ///< FIFO, crash victims
   CvrTracker tracker_;
   EnergyMeter meter_;
   ControllerStats stats_;

@@ -10,6 +10,7 @@
 #include "obs/slo.h"
 #include "placement/queuing_ffd.h"
 #include "sim/flight.h"
+#include "sim/tracker_codec.h"
 
 namespace burstq {
 
@@ -564,44 +565,8 @@ std::string ClusterSimulator::encode_state(std::size_t t) {
     w.varint(f.remaining);
   }
 
-  const CvrTrackerState cs = tracker_->export_state();
-  w.varint(cs.pms.size());
-  for (const auto& pm : cs.pms) {
-    w.varint(pm.observed);
-    w.varint(pm.violated);
-    w.varint(pm.window.size());
-    for (const std::uint8_t b : pm.window) w.u8(b);
-  }
-
-  w.boolean(config_.slo != nullptr);
-  if (config_.slo != nullptr) {
-    const obs::SloTrackerState ss = config_.slo->export_state();
-    w.varint(ss.pms.size());
-    for (const auto& pm : ss.pms) {
-      w.varint(pm.observed);
-      w.varint(pm.violated);
-      w.varint(pm.ring.size());
-      for (const std::uint8_t b : pm.ring) w.u8(b);
-      w.varint(pm.ring_observed);
-      w.varint(pm.ring_violated);
-    }
-    w.varint(ss.cur.size());
-    for (const std::uint8_t b : ss.cur) w.u8(b);
-    w.varint(ss.cluster_ring.size());
-    for (const auto& [o, v] : ss.cluster_ring) {
-      w.u32(o);
-      w.u32(v);
-    }
-    w.varint(ss.slots);
-    w.varint(ss.fast_obs);
-    w.varint(ss.fast_viol);
-    w.varint(ss.slow_obs);
-    w.varint(ss.slow_viol);
-    w.varint(ss.cum_obs);
-    w.varint(ss.cum_viol);
-    w.varint(ss.breaches);
-    w.boolean(ss.breaching);
-  }
+  write_cvr_tracker(w, *tracker_);
+  write_slo_tracker(w, config_.slo);
 
   w.f64(meter_->joules());
 
@@ -765,49 +730,8 @@ ClusterSimulator::RestoreInfo ClusterSimulator::restore_from_durable() {
     in_flight_.push_back(f);
   }
 
-  CvrTrackerState cs;
-  const std::size_t n_cvr = r.varint();
-  cs.pms.resize(n_cvr);
-  for (auto& pm : cs.pms) {
-    pm.observed = r.varint();
-    pm.violated = r.varint();
-    pm.window.resize(r.varint());
-    for (auto& b : pm.window) b = r.u8();
-  }
-  tracker_->import_state(cs);
-
-  const bool has_slo = r.boolean();
-  if (has_slo != (config_.slo != nullptr))
-    r.fail("SLO tracker presence mismatch");
-  if (has_slo) {
-    obs::SloTrackerState ss;
-    ss.pms.resize(r.varint());
-    for (auto& pm : ss.pms) {
-      pm.observed = r.varint();
-      pm.violated = r.varint();
-      pm.ring.resize(r.varint());
-      for (auto& b : pm.ring) b = r.u8();
-      pm.ring_observed = r.varint();
-      pm.ring_violated = r.varint();
-    }
-    ss.cur.resize(r.varint());
-    for (auto& b : ss.cur) b = r.u8();
-    ss.cluster_ring.resize(r.varint());
-    for (auto& [o, v] : ss.cluster_ring) {
-      o = r.u32();
-      v = r.u32();
-    }
-    ss.slots = r.varint();
-    ss.fast_obs = r.varint();
-    ss.fast_viol = r.varint();
-    ss.slow_obs = r.varint();
-    ss.slow_viol = r.varint();
-    ss.cum_obs = r.varint();
-    ss.cum_viol = r.varint();
-    ss.breaches = r.varint();
-    ss.breaching = r.boolean();
-    config_.slo->import_state(ss);
-  }
+  read_cvr_tracker(r, *tracker_);
+  read_slo_tracker(r, config_.slo);
 
   meter_->restore_joules(r.f64());
 

@@ -4,6 +4,8 @@
 
 #include "common/error.h"
 #include "core/controller.h"
+#include "obs/slo.h"
+#include "obs/trace_codec.h"
 
 namespace burstq {
 namespace {
@@ -172,6 +174,84 @@ TEST(Controller, EmptyFleetTicksSafely) {
   for (int t = 0; t < 10; ++t) c.tick();
   EXPECT_EQ(c.stats().pms_used, 0u);
   EXPECT_DOUBLE_EQ(c.stats().energy_wh, 0.0);
+}
+
+// --- Cross-commit identity pin -----------------------------------------
+
+/// Runs a fixed op script on a 4-shard controller: admits, departs,
+/// resizes (some larger than any host), ticks with maintenance every 7
+/// slots, PM crashes and recoveries.  Returns the CRC-32 of the final
+/// export_state() blob and leaves the final stats in `stats`.
+std::uint32_t scripted_state_crc(std::size_t decision_budget,
+                                 ControllerStats& stats) {
+  constexpr std::size_t kPms = 24;
+  obs::SloOptions so;
+  so.rho = 0.05;
+  obs::SloTracker slo(kPms, so);
+  ControllerConfig cfg;
+  cfg.ffd.sharded.shards = 4;
+  cfg.ffd.sharded.decision_budget = decision_budget;
+  cfg.maintenance_every = 7;
+  cfg.slo = &slo;
+  CloudController c(pms(kPms, 60.0), cfg, Rng(2026));
+
+  Rng op(77);
+  std::vector<TenantId> live;
+  std::optional<PmId> down;
+  const auto random_vm = [&] {
+    const double rb = op.uniform(2.0, 14.0);
+    const double re = op.uniform(1.0, 12.0);
+    const OnOffParams p{op.uniform(0.005, 0.08), op.uniform(0.05, 0.4)};
+    return vm(rb, re, p);
+  };
+  for (std::size_t i = 0; i < 1500; ++i) {
+    const double u = op.next_double();
+    if (u < 0.35) {
+      if (const auto id = c.admit(random_vm())) live.push_back(*id);
+    } else if (u < 0.50 && !live.empty()) {
+      const std::size_t pick = op.next_below(live.size());
+      c.depart(live[pick]);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+    } else if (u < 0.62 && !live.empty()) {
+      const TenantId t = live[op.next_below(live.size())];
+      // One resize in six asks for more than any host has.
+      const VmSpec spec = op.next_below(6) == 0 ? vm(70.0, 5.0) : random_vm();
+      (void)c.resize(t, spec);
+    } else if (u < 0.64 && !down) {
+      down = PmId{op.next_below(kPms)};
+      c.inject_pm_crash(*down);
+    } else if (u < 0.66 && down) {
+      c.inject_pm_recover(*down);
+      down.reset();
+    } else {
+      c.tick();
+    }
+  }
+  EXPECT_TRUE(c.reservation_invariant_holds());
+  stats = c.stats();
+  return obs::trace_detail::crc32(c.export_state());
+}
+
+// The constants were recorded before the live-fleet state was shared
+// between the online consolidator and the controller; any change to
+// routing order, hosted-list order, key arithmetic or the state codec
+// moves them.
+TEST(Controller, ScriptedOpMixStateIsPinned) {
+  ControllerStats s;
+  EXPECT_EQ(scripted_state_crc(0, s), 0xf6f05acau);
+  EXPECT_GT(s.resize_migrations, 0u);
+  EXPECT_GT(s.resize_rejections, 0u);
+  EXPECT_GT(s.pm_crashes, 0u);
+  EXPECT_GT(s.evac_queued, 0u);
+  EXPECT_GT(s.maintenance_migrations, 0u);
+  EXPECT_GT(s.runtime_migrations, 0u);
+}
+
+TEST(Controller, ScriptedOpMixStateIsPinnedUnderDecisionBudget) {
+  ControllerStats s;
+  EXPECT_EQ(scripted_state_crc(1, s), 0xbfbc3d17u);
+  EXPECT_GT(s.rejections, 0u);
+  EXPECT_GT(s.resize_rejections, 0u);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/error.h"
 #include "common/rng.h"
 #include "placement/online.h"
@@ -138,6 +140,39 @@ TEST(Online, RecalibrateRepairsOverflowingPms) {
   const OnOffParams stormy{0.45, 0.05};
   for (int i = 0; i < 10; ++i) oc.add_vm(vm(8, 6, stormy));
   oc.recalibrate();
+  EXPECT_TRUE(oc.reservation_invariant_holds());
+}
+
+TEST(Online, RecalibrateEvictsTheNewestVm) {
+  // Admit a, b, c, d onto PM 0 under calm parameters, remove b, then let
+  // recalibration to the VMs' own (stormy) parameters overflow PM 0 by
+  // exactly one VM.  The repair must evict d — the newest — not whichever
+  // VM a removal happened to shuffle to the back of the hosted list.
+  const OnOffParams calm{0.01, 0.9};
+  const OnOffParams stormy{0.45, 0.05};
+  QueuingFfdOptions opt;
+  const MapCalTable t_calm(opt.max_vms_per_pm, calm, opt.rho, opt.method);
+  const MapCalTable t_storm(opt.max_vms_per_pm, stormy, opt.rho, opt.method);
+  const auto reserved = [](const MapCalTable& t, std::size_t k) {
+    const double vms = static_cast<double>(k);
+    return 10.0 * static_cast<double>(t.blocks(k)) + 10.0 * vms;
+  };
+  const double cap = std::max(reserved(t_calm, 4), reserved(t_storm, 2));
+  ASSERT_LT(cap, reserved(t_storm, 3));
+
+  OnlineConsolidator oc({PmSpec{cap}, PmSpec{1000.0}}, opt, calm);
+  std::vector<VmHandle> h;
+  for (int i = 0; i < 4; ++i) {
+    const auto added = oc.add_vm(vm(10, 10, stormy));
+    ASSERT_TRUE(added.has_value());
+    ASSERT_EQ(oc.pm_of(*added), PmId{0});
+    h.push_back(*added);
+  }
+  oc.remove_vm(h[1]);
+  EXPECT_EQ(oc.recalibrate(), 1u);
+  EXPECT_EQ(oc.pm_of(h[0]), PmId{0});
+  EXPECT_EQ(oc.pm_of(h[2]), PmId{0});
+  EXPECT_EQ(oc.pm_of(h[3]), PmId{1});
   EXPECT_TRUE(oc.reservation_invariant_holds());
 }
 

@@ -131,6 +131,12 @@ TEST(RecoveryController, BackoffIsBoundedByTheCap) {
   }
   EXPECT_GE(rc.retries_total(), 10u);  // capped backoff keeps retrying
   EXPECT_LE(max_gap, policy.backoff_cap_slots);
+
+  // The shared delay function (the controller's crash queue uses it too).
+  EXPECT_EQ(fault::backoff_delay(policy, 0), 1u);
+  EXPECT_EQ(fault::backoff_delay(policy, 2), 4u);
+  EXPECT_EQ(fault::backoff_delay(policy, 3), 8u);
+  EXPECT_EQ(fault::backoff_delay(policy, 1000), 8u);
 }
 
 // --- degradation ladder -----------------------------------------------

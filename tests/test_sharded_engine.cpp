@@ -352,9 +352,8 @@ class OnlineModel {
       return v.rb == vm.rb && v.re == vm.re;
     });
     ASSERT_NE(it, list.end());
-    // Swap-remove, mirroring OnlineConsolidator's slot bookkeeping.
-    *it = list.back();
-    list.pop_back();
+    // Erase in place, mirroring the consolidator's insertion-order lists.
+    list.erase(it);
   }
 
  private:
