@@ -695,12 +695,10 @@ int cmd_fit(int argc, const char* const* argv) {
     return 1;
   }
   const auto trace = read_demand_trace_csv(args.get("trace"));
-  const std::size_t n_vms = trace.front().size();
   std::cout << "p_on,p_off,rb,re\n";
-  std::vector<double> series(trace.size());
-  for (std::size_t i = 0; i < n_vms; ++i) {
-    for (std::size_t t = 0; t < trace.size(); ++t) series[t] = trace[t][i];
-    const auto fit = fit_onoff_from_trace(series);
+  const std::vector<FittedVm> fits = fit_traces(trace);
+  for (std::size_t i = 0; i < fits.size(); ++i) {
+    const FittedVm& fit = fits[i];
     std::cout << fit.spec.onoff.p_on << "," << fit.spec.onoff.p_off << ","
               << fit.spec.rb << "," << fit.spec.re << "\n";
     if (!fit.bursty)

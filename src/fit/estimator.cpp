@@ -4,6 +4,8 @@
 #include <cmath>
 
 #include "common/error.h"
+#include "common/parallel.h"
+#include "obs/obs.h"
 
 namespace burstq {
 
@@ -16,20 +18,20 @@ double two_means_threshold(std::span<const double> values) {
   if (c_lo == c_hi) return c_lo;
 
   for (int iter = 0; iter < 64; ++iter) {
+    // Branch-free select: both sums start at +0.0, never become -0.0, and
+    // still add the same samples in sample order, so adding 0.0 for the
+    // other cluster leaves every bit as the branchy form would.
     double sum_lo = 0.0;
     double sum_hi = 0.0;
     std::size_t n_lo = 0;
-    std::size_t n_hi = 0;
     const double boundary = 0.5 * (c_lo + c_hi);
     for (double v : values) {
-      if (v <= boundary) {
-        sum_lo += v;
-        ++n_lo;
-      } else {
-        sum_hi += v;
-        ++n_hi;
-      }
+      const bool lo = v <= boundary;
+      sum_lo += lo ? v : 0.0;
+      sum_hi += lo ? 0.0 : v;
+      n_lo += lo ? 1 : 0;
     }
+    const std::size_t n_hi = values.size() - n_lo;
     if (n_lo == 0 || n_hi == 0) return boundary;
     const double new_lo = sum_lo / static_cast<double>(n_lo);
     const double new_hi = sum_hi / static_cast<double>(n_hi);
@@ -45,21 +47,19 @@ FittedVm fit_onoff_from_trace(std::span<const double> demand) {
 
   FittedVm fit;
   fit.threshold = two_means_threshold(demand);
+  const double threshold = fit.threshold;
 
-  // Classify and accumulate cluster means.
-  std::vector<bool> on(demand.size());
+  // Classify and accumulate cluster means (same branch-free select as
+  // two_means_threshold).
   double sum_off = 0.0;
   double sum_on = 0.0;
-  for (std::size_t t = 0; t < demand.size(); ++t) {
-    on[t] = demand[t] > fit.threshold;
-    if (on[t]) {
-      sum_on += demand[t];
-      ++fit.on_slots;
-    } else {
-      sum_off += demand[t];
-      ++fit.off_slots;
-    }
+  for (double v : demand) {
+    const bool on = v > threshold;
+    sum_on += on ? v : 0.0;
+    sum_off += on ? 0.0 : v;
+    fit.on_slots += on ? 1 : 0;
   }
+  fit.off_slots = demand.size() - fit.on_slots;
 
   const double fallback_p =
       1.0 / static_cast<double>(demand.size());  // "rarer than observed"
@@ -80,19 +80,18 @@ FittedVm fit_onoff_from_trace(std::span<const double> demand) {
 
   // MLE of the geometric dwell parameters.  The final slot has no
   // successor, so count dwell slots among t in [0, T-2].
-  std::size_t off_dwell = 0;
   std::size_t on_dwell = 0;
   std::size_t off_to_on = 0;
   std::size_t on_to_off = 0;
-  for (std::size_t t = 0; t + 1 < demand.size(); ++t) {
-    if (on[t]) {
-      ++on_dwell;
-      if (!on[t + 1]) ++on_to_off;
-    } else {
-      ++off_dwell;
-      if (on[t + 1]) ++off_to_on;
-    }
+  bool prev = demand[0] > threshold;
+  for (std::size_t t = 1; t < demand.size(); ++t) {
+    const bool cur = demand[t] > threshold;
+    on_dwell += prev ? 1 : 0;
+    on_to_off += (prev && !cur) ? 1 : 0;
+    off_to_on += (!prev && cur) ? 1 : 0;
+    prev = cur;
   }
+  const std::size_t off_dwell = (demand.size() - 1) - on_dwell;
   auto clamp_p = [fallback_p](std::size_t events, std::size_t dwell) {
     if (dwell == 0) return fallback_p;
     const double p =
@@ -104,23 +103,93 @@ FittedVm fit_onoff_from_trace(std::span<const double> demand) {
   return fit;
 }
 
-ProblemInstance instance_from_traces(const DemandTrace& trace,
-                                     std::vector<PmSpec> pms) {
+namespace {
+
+/// Widest block of consecutive VM columns one worker gathers at a time.
+constexpr std::size_t kFitBlockVms = 64;
+
+/// Gather tiles are capped at this many samples (256 KiB of doubles) so
+/// long traces shrink the block instead of growing the scratch.
+constexpr std::size_t kFitTileSamples = 32 * 1024;
+
+/// Checks everything that could make the batch fit throw and returns the
+/// VM count.  Runs on the calling thread before any dispatch: an
+/// exception escaping a parallel_for job terminates the process.
+std::size_t validated_vm_count(const DemandTrace& trace) {
   BURSTQ_REQUIRE(!trace.empty(), "empty trace");
-  BURSTQ_REQUIRE(!pms.empty(), "need at least one PM spec");
   const std::size_t n_vms = trace.front().size();
   BURSTQ_REQUIRE(n_vms > 0, "trace has no VM columns");
   for (const auto& row : trace)
     BURSTQ_REQUIRE(row.size() == n_vms, "ragged demand trace");
+  BURSTQ_REQUIRE(trace.size() >= 2, "trace too short to fit");
+  return n_vms;
+}
 
+/// Fits the n_vms columns of a validated trace on the worker pool and
+/// passes fit i to store(i, fit).
+template <class Store>
+void fit_columns(const DemandTrace& trace, std::size_t n_vms,
+                 const Store& store) {
+  BURSTQ_SPAN("fit.traces");
+  const std::size_t n_samples = trace.size();
+  const std::size_t block = std::clamp<std::size_t>(
+      kFitTileSamples / n_samples, 1, std::min(kFitBlockVms, n_vms));
+  const std::size_t n_blocks = (n_vms + block - 1) / block;
+  const std::size_t workers = std::min(default_thread_count(), n_blocks);
+
+  std::vector<std::vector<double>> tiles(
+      workers, std::vector<double>(block * n_samples));
+  std::vector<std::size_t> flat(n_blocks, 0);
+  parallel_for_workers(
+      n_blocks,
+      [&](std::size_t b, std::size_t w) {
+        // Gather columns [first, first + width) with row-contiguous reads
+        // into one series per column, then fit each series.  Results land
+        // by VM index, so scheduling cannot change the output.
+        double* tile = tiles[w].data();
+        const std::size_t first = b * block;
+        const std::size_t width = std::min(block, n_vms - first);
+        for (std::size_t t = 0; t < n_samples; ++t) {
+          const double* row = trace[t].data() + first;
+          for (std::size_t j = 0; j < width; ++j)
+            tile[j * n_samples + t] = row[j];
+        }
+        for (std::size_t j = 0; j < width; ++j) {
+          const FittedVm fit = fit_onoff_from_trace(
+              std::span<const double>(tile + j * n_samples, n_samples));
+          flat[b] += fit.bursty ? 0 : 1;
+          store(first + j, fit);
+        }
+      },
+      workers);
+
+  std::size_t n_flat = 0;
+  for (const std::size_t f : flat) n_flat += f;
+  BURSTQ_COUNT("fit.vms", n_vms);
+  BURSTQ_COUNT("fit.samples", n_vms * n_samples);
+  BURSTQ_COUNT("fit.flat", n_flat);
+}
+
+}  // namespace
+
+std::vector<FittedVm> fit_traces(const DemandTrace& trace) {
+  std::vector<FittedVm> out(validated_vm_count(trace));
+  fit_columns(trace, out.size(), [&out](std::size_t i, const FittedVm& fit) {
+    out[i] = fit;
+  });
+  return out;
+}
+
+ProblemInstance instance_from_traces(const DemandTrace& trace,
+                                     std::vector<PmSpec> pms) {
+  BURSTQ_REQUIRE(!pms.empty(), "need at least one PM spec");
   ProblemInstance inst;
+  inst.vms.resize(validated_vm_count(trace));
+  fit_columns(trace, inst.vms.size(),
+              [&inst](std::size_t i, const FittedVm& fit) {
+                inst.vms[i] = fit.spec;
+              });
   inst.pms = std::move(pms);
-  inst.vms.reserve(n_vms);
-  std::vector<double> series(trace.size());
-  for (std::size_t i = 0; i < n_vms; ++i) {
-    for (std::size_t t = 0; t < trace.size(); ++t) series[t] = trace[t][i];
-    inst.vms.push_back(fit_onoff_from_trace(series).spec);
-  }
   return inst;
 }
 

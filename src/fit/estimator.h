@@ -13,6 +13,23 @@
 //
 // which are the maximum-likelihood estimates of the geometric dwell
 // times.  Tests verify parameter recovery on synthetic traces.
+//
+// fit_onoff_from_trace is the only per-series kernel.  fit_traces runs it
+// over every column of a fleet trace on the worker pool; `burstq_cli fit`
+// calls it and instance_from_traces shares its batch path.  Its contract:
+//
+//   * validation (non-empty, >= 1 VM column, rectangular rows, >= 2
+//     samples) happens on the calling thread before any dispatch, so a bad
+//     trace throws InvalidArgument and never reaches a worker;
+//   * columns are cut into blocks of consecutive VMs (up to 64, fewer for
+//     very long traces); a worker copies one block out of the row-major
+//     trace[t][i] with row-contiguous reads into per-worker scratch
+//     allocated before dispatch, then fits each column of the tile;
+//   * results are written by VM index and every series is summed in
+//     sample order, so the output is bit-identical to calling
+//     fit_onoff_from_trace column by column, for any thread count;
+//   * the worker count is default_thread_count() (--threads /
+//     BURSTQ_THREADS), capped at the number of blocks.
 
 #pragma once
 
@@ -39,8 +56,14 @@ struct FittedVm {
 /// probabilities (1 / trace length).
 FittedVm fit_onoff_from_trace(std::span<const double> demand);
 
-/// Fits every VM of a recorded DemandTrace (trace[t][i] = demand of VM i
-/// at slot t) and assembles a ProblemInstance with the given PM fleet.
+/// Fits every VM column of a recorded DemandTrace (trace[t][i] = demand of
+/// VM i at slot t) in parallel; returns one FittedVm per VM in VM order,
+/// bit-identical to per-column fit_onoff_from_trace (see the file comment).
+/// Throws InvalidArgument for an empty, ragged or one-sample trace.
+std::vector<FittedVm> fit_traces(const DemandTrace& trace);
+
+/// Same batch fit as fit_traces, keeping only the specs, assembled into a
+/// ProblemInstance with the given PM fleet (no per-VM FittedVm copy).
 ProblemInstance instance_from_traces(const DemandTrace& trace,
                                      std::vector<PmSpec> pms);
 

@@ -87,8 +87,12 @@ bool mapcal_solver_fault_enabled() {
   return solver_fault_flag().load(std::memory_order_relaxed);
 }
 
-MapCalResult map_cal(std::size_t k, const OnOffParams& params, double rho,
-                     StationaryMethod method) {
+namespace {
+
+/// Algorithm 1 minus its decision event: table builds solve with this
+/// (possibly on worker threads) and emit the events afterwards, in k order.
+MapCalResult solve_map_cal(std::size_t k, const OnOffParams& params,
+                           double rho, StationaryMethod method) {
   BURSTQ_SPAN("mapcal.solve");
   BURSTQ_REQUIRE(k >= 1, "map_cal requires at least one VM");
   BURSTQ_REQUIRE(rho >= 0.0 && rho < 1.0, "map_cal requires rho in [0, 1)");
@@ -119,11 +123,25 @@ MapCalResult map_cal(std::size_t k, const OnOffParams& params, double rho,
   double mass = 0.0;
   for (std::size_t m = 0; m <= chosen; ++m) mass += result.stationary[m];
   result.cvr_bound = mass >= 1.0 ? 0.0 : 1.0 - mass;
+  return result;
+}
 
+void emit_mapcal_event([[maybe_unused]] std::size_t k,
+                       [[maybe_unused]] double rho,
+                       [[maybe_unused]] std::size_t blocks,
+                       [[maybe_unused]] double cvr_bound,
+                       [[maybe_unused]] StationaryMethod method) {
   BURSTQ_EVENT(obs::EventLevel::kDecisions, "mapcal", {"k", k},
-               {"rho", rho}, {"blocks", result.blocks},
-               {"cvr_bound", result.cvr_bound},
+               {"rho", rho}, {"blocks", blocks}, {"cvr_bound", cvr_bound},
                {"method", method_name(method)});
+}
+
+}  // namespace
+
+MapCalResult map_cal(std::size_t k, const OnOffParams& params, double rho,
+                     StationaryMethod method) {
+  MapCalResult result = solve_map_cal(k, params, rho, method);
+  emit_mapcal_event(k, rho, result.blocks, result.cvr_bound, method);
   return result;
 }
 
@@ -182,7 +200,7 @@ std::shared_ptr<const MapCalTable::Data> MapCalTable::lookup_or_build(
   data->cvr_bounds.resize(max_vms_per_pm + 1, 0.0);
   const auto solve_one = [&](std::size_t i) {
     const std::size_t k = i + 1;
-    const MapCalResult r = map_cal(k, params, rho, method);
+    const MapCalResult r = solve_map_cal(k, params, rho, method);
     data->blocks[k] = r.blocks;
     data->cvr_bounds[k] = r.cvr_bound;
   };
@@ -190,6 +208,10 @@ std::shared_ptr<const MapCalTable::Data> MapCalTable::lookup_or_build(
     parallel_for(max_vms_per_pm, solve_one);
   else
     for (std::size_t i = 0; i < max_vms_per_pm; ++i) solve_one(i);
+  // The decision events follow on this thread in k order, so the trace
+  // bytes do not depend on the order the parallel solves complete in.
+  for (std::size_t k = 1; k <= max_vms_per_pm; ++k)
+    emit_mapcal_event(k, rho, data->blocks[k], data->cvr_bounds[k], method);
 
   std::lock_guard lock(table_cache_mutex());
   const auto [it, inserted] =

@@ -37,9 +37,17 @@ TEST(CsvFormat, SpecialValues) {
   EXPECT_EQ(csv_format(1.0 / 0.0), "inf");
 }
 
+/// Per-test temp path: ctest runs each test as its own process, possibly
+/// concurrently, so fixtures must not share one file.
+std::string temp_path(const std::string& stem, const std::string& ext) {
+  return ::testing::TempDir() + "/" + stem + "_" +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         ext;
+}
+
 class CsvWriterTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/burstq_csv_test.csv";
+  std::string path_ = temp_path("burstq_csv_test", ".csv");
   void TearDown() override { std::remove(path_.c_str()); }
 
   std::string read_back() {

@@ -107,9 +107,25 @@ TEST(InstanceFromTraces, ValidatesInput) {
   EXPECT_THROW(instance_from_traces(ok, {}), InvalidArgument);
 }
 
+TEST(InstanceFromTraces, OneSampleTraceThrows) {
+  // Rejected up front on the calling thread, before any worker runs (an
+  // exception inside a worker would terminate the process).
+  const DemandTrace one_sample{{1.0, 2.0}};
+  EXPECT_THROW(instance_from_traces(one_sample, {PmSpec{10}}),
+               InvalidArgument);
+}
+
+/// Per-test temp path: ctest runs each test as its own process, possibly
+/// concurrently, so fixtures must not share one file.
+std::string temp_path(const std::string& stem, const std::string& ext) {
+  return ::testing::TempDir() + "/" + stem + "_" +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         ext;
+}
+
 class TraceIoTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/burstq_trace_test.csv";
+  std::string path_ = temp_path("burstq_trace_test", ".csv");
   void TearDown() override { std::remove(path_.c_str()); }
 };
 

@@ -12,10 +12,18 @@
 namespace burstq {
 namespace {
 
+/// Per-test temp path: ctest runs each test as its own process, possibly
+/// concurrently, so fixtures must not share one file.
+std::string temp_path(const std::string& stem, const std::string& ext) {
+  return ::testing::TempDir() + "/" + stem + "_" +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         ext;
+}
+
 class InstanceIoTest : public ::testing::Test {
  protected:
-  std::string vm_path_ = ::testing::TempDir() + "/burstq_vms_test.csv";
-  std::string pm_path_ = ::testing::TempDir() + "/burstq_pms_test.csv";
+  std::string vm_path_ = temp_path("burstq_vms_test", ".csv");
+  std::string pm_path_ = temp_path("burstq_pms_test", ".csv");
   void TearDown() override {
     std::remove(vm_path_.c_str());
     std::remove(pm_path_.c_str());

@@ -5,10 +5,17 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <tuple>
 
 #include "common/error.h"
+#include "common/parallel.h"
 #include "markov/aggregate_chain.h"
+#include "obs/jsonl.h"
+#include "obs/obs.h"
 #include "prob/binomial.h"
 #include "queuing/mapcal.h"
 
@@ -181,6 +188,52 @@ TEST(MapCalTable, CacheHitBitIdenticalToColdSolve) {
     EXPECT_EQ(std::bit_cast<std::uint64_t>(warm.cvr_bound(k)),
               std::bit_cast<std::uint64_t>(cold.cvr_bound(k)));
   }
+}
+
+/// Records the decision events of `builds` cold d = 16 table builds at
+/// `threads` workers; returns the log bytes.
+std::string record_cold_builds(std::size_t builds, std::size_t threads) {
+  const std::string path = ::testing::TempDir() + "/mapcal_order_" +
+                           std::to_string(threads) + "_" +
+                           ::testing::UnitTest::GetInstance()
+                               ->current_test_info()
+                               ->name() +
+                           ".jsonl";
+  set_thread_count_override(threads);
+  obs::events().open(path, obs::EventFormat::kJsonl,
+                     obs::EventLevel::kDecisions);
+  for (std::size_t b = 0; b < builds; ++b) {
+    mapcal_table_cache_clear();
+    const MapCalTable table(16, kPaperParams, 0.01);
+  }
+  obs::events().close();
+  set_thread_count_override(0);
+  std::ifstream in(path);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  std::remove(path.c_str());
+  return bytes.str();
+}
+
+TEST(MapCalTable, ParallelBuildEmitsEventsInKOrder) {
+  // Workers finish their solves in any order; the decision events must
+  // still come out k = 1..d for every build, byte-identical to a build
+  // on one thread.
+  if (!obs::kEnabled) GTEST_SKIP() << "events compiled out";
+  constexpr std::size_t kBuilds = 200;
+  const std::string parallel = record_cold_builds(kBuilds, 4);
+  std::istringstream lines(parallel);
+  std::string line;
+  std::size_t n = 0;
+  while (std::getline(lines, line)) {
+    const auto ev = obs::parse_event_line(line);
+    if (!ev || ev->kind != "mapcal") continue;
+    ASSERT_EQ(ev->integer("k"), static_cast<std::int64_t>(n % 16 + 1))
+        << "event " << n;
+    ++n;
+  }
+  EXPECT_EQ(n, kBuilds * 16);
+  EXPECT_EQ(parallel, record_cold_builds(kBuilds, 1));
 }
 
 TEST(MapCal, PaperParameterSanity) {

@@ -18,10 +18,18 @@
 namespace burstq {
 namespace {
 
+/// Per-test temp path: ctest runs each test as its own process, possibly
+/// concurrently, so fixtures must not share one file.
+std::string temp_path(const std::string& stem, const std::string& ext) {
+  return ::testing::TempDir() + "/" + stem + "_" +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         ext;
+}
+
 class PlanetLabTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/burstq_pl_test.txt";
-  std::string path2_ = ::testing::TempDir() + "/burstq_pl_test2.txt";
+  std::string path_ = temp_path("burstq_pl_test", ".txt");
+  std::string path2_ = temp_path("burstq_pl_test2", ".txt");
   void TearDown() override {
     std::remove(path_.c_str());
     std::remove(path2_.c_str());
