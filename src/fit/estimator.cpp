@@ -112,6 +112,15 @@ constexpr std::size_t kFitBlockVms = 64;
 /// long traces shrink the block instead of growing the scratch.
 constexpr std::size_t kFitTileSamples = 32 * 1024;
 
+/// The batch fit runs on half of default_thread_count() workers (at least
+/// one).  Measured on a shared 4-vCPU host (perfbench `plan`, 10⁵ VMs ×
+/// 144 samples): on an idle host four workers fit ~1.8× faster than two,
+/// but the plan round's run-to-run spread was 1.1-2.8× that with two, and
+/// with the host under load the round was no faster with four.
+std::size_t fit_worker_count() {
+  return std::max<std::size_t>(1, default_thread_count() / 2);
+}
+
 /// Checks everything that could make the batch fit throw and returns the
 /// VM count.  Runs on the calling thread before any dispatch: an
 /// exception escaping a parallel_for job terminates the process.
@@ -135,7 +144,7 @@ void fit_columns(const DemandTrace& trace, std::size_t n_vms,
   const std::size_t block = std::clamp<std::size_t>(
       kFitTileSamples / n_samples, 1, std::min(kFitBlockVms, n_vms));
   const std::size_t n_blocks = (n_vms + block - 1) / block;
-  const std::size_t workers = std::min(default_thread_count(), n_blocks);
+  const std::size_t workers = std::min(fit_worker_count(), n_blocks);
 
   std::vector<std::vector<double>> tiles(
       workers, std::vector<double>(block * n_samples));
@@ -154,12 +163,16 @@ void fit_columns(const DemandTrace& trace, std::size_t n_vms,
           for (std::size_t j = 0; j < width; ++j)
             tile[j * n_samples + t] = row[j];
         }
+        // Count flat columns locally: neighbouring blocks' counts share a
+        // cache line, so a store per VM would bounce it between workers.
+        std::size_t block_flat = 0;
         for (std::size_t j = 0; j < width; ++j) {
           const FittedVm fit = fit_onoff_from_trace(
               std::span<const double>(tile + j * n_samples, n_samples));
-          flat[b] += fit.bursty ? 0 : 1;
+          block_flat += fit.bursty ? 0 : 1;
           store(first + j, fit);
         }
+        flat[b] = block_flat;
       },
       workers);
 

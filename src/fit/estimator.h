@@ -28,8 +28,10 @@
 //   * results are written by VM index and every series is summed in
 //     sample order, so the output is bit-identical to calling
 //     fit_onoff_from_trace column by column, for any thread count;
-//   * the worker count is default_thread_count() (--threads /
-//     BURSTQ_THREADS), capped at the number of blocks.
+//   * the worker count is half of default_thread_count() (--threads /
+//     BURSTQ_THREADS), at least one and at most the number of blocks;
+//     on a shared host, a fit that occupied every vCPU made the plan
+//     round vary more from run to run (see docs/PERFORMANCE.md).
 
 #pragma once
 

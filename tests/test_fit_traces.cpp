@@ -106,7 +106,8 @@ TEST(FitTraces, InvariantUnderThreadCount) {
     const ThreadOverride threads(1);
     one = fit_traces(trace);
   }
-  for (const std::size_t n : {2u, 4u}) {
+  // The fit runs on half the pool, so 8 threads means 4 fit workers.
+  for (const std::size_t n : {2u, 4u, 8u}) {
     SCOPED_TRACE(::testing::Message() << "threads=" << n);
     const ThreadOverride threads(n);
     expect_identical(fit_traces(trace), one);
@@ -157,7 +158,7 @@ constexpr std::uint32_t kPinnedFleetSpecCrc = 0x1aa933d9u;
 
 TEST(FitTraces, PinnedFleetChecksum) {
   const DemandTrace trace = pinned_fleet_trace();
-  for (const std::size_t n : {1u, 2u, 4u}) {
+  for (const std::size_t n : {1u, 2u, 4u, 8u}) {
     SCOPED_TRACE(::testing::Message() << "threads=" << n);
     const ThreadOverride threads(n);
     std::vector<VmSpec> specs;
