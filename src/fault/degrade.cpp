@@ -1,5 +1,6 @@
 #include "fault/degrade.h"
 
+#include <optional>
 #include <vector>
 
 #include "common/error.h"
@@ -32,13 +33,20 @@ ReservationLadder::ReservationLadder(std::size_t max_vms_per_pm, double rho,
                  "quantile grid step must be positive");
 }
 
-bool ReservationLadder::admits_with_table(std::span<const VmSpec> hosted,
-                                          const VmSpec& candidate,
-                                          Resource capacity,
-                                          const OnOffParams& rounded,
-                                          StationaryMethod method) const {
-  const MapCalTable table(d_, rounded, rho_, method);
-  return fits_with_reservation_specs(hosted, candidate, capacity, table);
+std::optional<MapCalTable> ReservationLadder::table_or_outage(
+    const OnOffParams& rounded, StationaryMethod method) const {
+  try {
+    return MapCalTable(d_, rounded, rho_, method);
+  } catch (const SolverUnavailable&) {
+    return std::nullopt;
+  }
+}
+
+std::optional<MapCalTable> ReservationLadder::rung_one_table(
+    const OnOffParams& rounded) {
+  auto table = table_or_outage(rounded, preferred_);
+  if (table) last_level_ = ReserveLevel::kTable;
+  return table;
 }
 
 bool ReservationLadder::admits(std::span<const VmSpec> hosted,
@@ -46,26 +54,25 @@ bool ReservationLadder::admits(std::span<const VmSpec> hosted,
                                const OnOffParams& rounded) {
   // The per-PM cap d applies on every rung.
   if (hosted.size() + 1 > d_) return false;
+  if (const auto table = rung_one_table(rounded))
+    return fits_with_reservation_specs(hosted, candidate, capacity, *table);
+  return admits_below_table(hosted, candidate, capacity, rounded);
+}
 
-  try {
-    const bool ok =
-        admits_with_table(hosted, candidate, capacity, rounded, preferred_);
-    last_level_ = ReserveLevel::kTable;
-    return ok;
-  } catch (const SolverUnavailable&) {
-  }
-
+bool ReservationLadder::admits_below_table(std::span<const VmSpec> hosted,
+                                           const VmSpec& candidate,
+                                           Resource capacity,
+                                           const OnOffParams& rounded) {
   if (preferred_ != StationaryMethod::kGaussian) {
-    try {
-      const bool ok = admits_with_table(hosted, candidate, capacity, rounded,
-                                        StationaryMethod::kGaussian);
+    if (const auto table =
+            table_or_outage(rounded, StationaryMethod::kGaussian)) {
       last_level_ = ReserveLevel::kGaussianTable;
       ++degraded_decisions_;
       BURSTQ_COUNT("fault.solver.degraded", 1);
       BURSTQ_EVENT(obs::EventLevel::kDecisions, "fault.solver.degrade",
                    {"level", reserve_level_name(last_level_)});
-      return ok;
-    } catch (const SolverUnavailable&) {
+      return fits_with_reservation_specs(hosted, candidate, capacity,
+                                         *table);
     }
   }
 

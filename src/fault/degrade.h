@@ -27,6 +27,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <span>
 
 #include "markov/onoff.h"
@@ -56,7 +57,21 @@ class ReservationLadder {
   bool admits(std::span<const VmSpec> hosted, const VmSpec& candidate,
               Resource capacity, const OnOffParams& rounded);
 
-  /// Rung that decided the most recent admits() call.
+  /// Rung 1 resolved once for a whole first-fit search: the preferred-
+  /// backend table, or nullopt during an outage that the memo cache
+  /// cannot serve.  On success records kTable as last_level(), as every
+  /// admits() call it stands in for would; a caller that gets nullopt
+  /// finishes that decision with admits_below_table().
+  [[nodiscard]] std::optional<MapCalTable> rung_one_table(
+      const OnOffParams& rounded);
+
+  /// Rungs 2-4 of admits() for a decision whose rung 1 just failed; the
+  /// caller has already applied the per-PM cap.
+  bool admits_below_table(std::span<const VmSpec> hosted,
+                          const VmSpec& candidate, Resource capacity,
+                          const OnOffParams& rounded);
+
+  /// Rung that decided the most recent admission decision.
   [[nodiscard]] ReserveLevel last_level() const { return last_level_; }
 
   /// Admissions decided below rung 1 since construction.
@@ -76,12 +91,9 @@ class ReservationLadder {
   }
 
  private:
-  /// Rungs 1-2; throws SolverUnavailable when the build faults.
-  [[nodiscard]] bool admits_with_table(std::span<const VmSpec> hosted,
-                                       const VmSpec& candidate,
-                                       Resource capacity,
-                                       const OnOffParams& rounded,
-                                       StationaryMethod method) const;
+  /// The (d, rounded, rho, method) table; nullopt when its build faults.
+  [[nodiscard]] std::optional<MapCalTable> table_or_outage(
+      const OnOffParams& rounded, StationaryMethod method) const;
 
   std::size_t d_;
   double rho_;

@@ -1,6 +1,7 @@
 #include "fault/recovery.h"
 
 #include <algorithm>
+#include <cmath>
 #include <optional>
 
 #include "common/error.h"
@@ -37,22 +38,77 @@ RecoveryController::RecoveryController(const ProblemInstance& inst,
   policy_.validate();
 }
 
+namespace {
+
+/// Relative margin of the O(1) reject below.  The cached rb_sum of a
+/// bound placement drifts from the walked sum by float-association noise
+/// that aggregates_consistent() holds within 1e-9 relative (the fuzz
+/// oracles check it after churn); the walk itself adds rounding of order
+/// d * 2^-53.  Ten times the former covers both, and a wider margin only
+/// sends more PMs on to the exact walk.
+constexpr double kCachedSumMargin = 1e-8;
+
+}  // namespace
+
 std::optional<PmId> RecoveryController::find_target(
     const Placement& placement, std::size_t vm, std::span<const std::uint8_t> pm_up,
     const OnOffParams& rounded) {
-  std::vector<VmSpec> hosted;
-  for (std::size_t j = 0; j < placement.n_pms(); ++j) {
-    if (!pm_up[j]) continue;
+  const VmSpec& cand = inst_->vms[vm];
+  const std::size_t d = ladder_.max_vms_per_pm();
+  const bool bound = placement.tracks_aggregates(*inst_);
+  // Rung 1 is resolved once, at the first PM under the cap — where the
+  // per-candidate ladder would first have asked for it.
+  std::optional<MapCalTable> table;
+  bool resolved = false;
+  std::vector<VmSpec> hosted;  // spec copies: degraded rungs only
+  std::size_t scanned = 0;
+  std::size_t confirms = 0;
+  std::optional<PmId> found;
+  for (std::size_t j = 0; j < placement.n_pms() && !found; ++j) {
     const PmId pm{j};
+    if (!pm_up[j] || placement.count_on(pm) + 1 > d) continue;
+    ++scanned;
+    const Resource cap = inst_->pms[j].capacity;
+    bool first_decision = false;
+    if (!resolved) {
+      resolved = true;
+      table = ladder_.rung_one_table(rounded);
+      first_decision = true;
+    }
+    if (table) {
+      if (bound) {
+        // Conservative reject from the cached aggregates: the block is
+        // exact (a max), only the Rb sum carries noise.
+        const Resource block = std::max(cand.re, placement.re_max_on(pm));
+        const Resource footprint =
+            block * static_cast<double>(
+                        table->blocks(placement.count_on(pm) + 1)) +
+            cand.rb + placement.rb_sum_on(pm);
+        const Resource limit = cap * (1.0 + kCapacityEpsilon);
+        if (footprint - limit >
+            kCachedSumMargin * (std::abs(footprint) + std::abs(limit) + 1.0))
+          continue;
+      }
+      ++confirms;
+      if (fits_with_reservation_walk(*inst_, placement, cand, pm, *table))
+        found = pm;
+      continue;
+    }
+    // Solver outage on a cold cache: the per-candidate ladder, which may
+    // decide each PM on a different rung.  The first decision's rung 1
+    // has already failed above, so it continues from rung 2.
     hosted.clear();
-    hosted.reserve(placement.count_on(pm));
-    for (std::size_t i : placement.vms_on(pm))
-      hosted.push_back(inst_->vms[i]);
-    if (ladder_.admits(hosted, inst_->vms[vm], inst_->pms[j].capacity,
-                       rounded))
-      return pm;
+    for (std::size_t i : placement.vms_on(pm)) hosted.push_back(inst_->vms[i]);
+    const bool ok =
+        first_decision
+            ? ladder_.admits_below_table(hosted, cand, cap, rounded)
+            : ladder_.admits(hosted, cand, cap, rounded);
+    if (ok) found = pm;
   }
-  return std::nullopt;
+  BURSTQ_COUNT("fault.target.searches", 1);
+  BURSTQ_COUNT("fault.target.scanned", scanned);
+  BURSTQ_COUNT("fault.target.confirms", confirms);
+  return found;
 }
 
 void RecoveryController::enqueue(std::size_t vm, std::size_t slot) {

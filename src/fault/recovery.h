@@ -111,8 +111,11 @@ class RecoveryController {
   }
 
  private:
-  /// First-fit over up PMs under the ladder; kNoPm-style nullopt when
-  /// nothing admits the VM.
+  /// First-fit over up PMs under the ladder; nullopt when nothing admits
+  /// the VM.  Resolves the rung-1 table once per search and confirms each
+  /// PM with an in-place exact walk (after an O(1) reject from the cached
+  /// aggregates on a bound placement); only a solver outage on a cold
+  /// cache falls back to the per-candidate ladder with spec copies.
   [[nodiscard]] std::optional<PmId> find_target(const Placement& placement,
                                                 std::size_t vm,
                                                 std::span<const std::uint8_t> pm_up,

@@ -218,20 +218,46 @@ Resource reserved_footprint_specs(std::span<const VmSpec> hosted,
   return block * static_cast<double>(table.blocks(hosted.size())) + rb_sum;
 }
 
-bool fits_with_reservation_specs(std::span<const VmSpec> hosted,
-                                 const VmSpec& candidate, Resource capacity,
-                                 const MapCalTable& table) {
+namespace {
+
+/// Eq. (17) by a walk: the candidate first, then `hosted` in order, with
+/// `spec_of` mapping each element to its VmSpec.  The one arithmetic
+/// behind both public walk-based checks, so they agree bit-for-bit.
+template <typename Range, typename SpecOf>
+bool fits_walk(const Range& hosted, SpecOf spec_of, const VmSpec& candidate,
+               Resource capacity, const MapCalTable& table) {
   const std::size_t k_new = hosted.size() + 1;
   if (k_new > table.max_vms_per_pm()) return false;
   Resource block = candidate.re;
   Resource rb_sum = candidate.rb;
-  for (const auto& v : hosted) {
+  for (const auto& h : hosted) {
+    const VmSpec& v = spec_of(h);
     block = std::max(block, v.re);
     rb_sum += v.rb;
   }
   const Resource footprint =
       block * static_cast<double>(table.blocks(k_new)) + rb_sum;
   return footprint <= capacity * (1.0 + kCapacityEpsilon);
+}
+
+}  // namespace
+
+bool fits_with_reservation_specs(std::span<const VmSpec> hosted,
+                                 const VmSpec& candidate, Resource capacity,
+                                 const MapCalTable& table) {
+  return fits_walk(
+      hosted, [](const VmSpec& v) -> const VmSpec& { return v; }, candidate,
+      capacity, table);
+}
+
+bool fits_with_reservation_walk(const ProblemInstance& inst,
+                                const Placement& placement,
+                                const VmSpec& candidate, PmId pm,
+                                const MapCalTable& table) {
+  return fits_walk(
+      placement.vms_on(pm),
+      [&inst](std::size_t i) -> const VmSpec& { return inst.vms[i]; },
+      candidate, inst.pms[pm.value].capacity, table);
 }
 
 bool placement_satisfies_reservation(const ProblemInstance& inst,

@@ -161,6 +161,16 @@ bool fits_with_reservation_specs(std::span<const VmSpec> hosted,
                                  const VmSpec& candidate, Resource capacity,
                                  const MapCalTable& table);
 
+/// fits_with_reservation_specs over the specs of the VMs on `pm`, read in
+/// place: the candidate first, then vms_on(pm) in list order.  Same
+/// arithmetic, so the verdict is bit-identical to copying those specs out
+/// and calling fits_with_reservation_specs — without the copy.  Ignores
+/// any cached aggregates.
+bool fits_with_reservation_walk(const ProblemInstance& inst,
+                                const Placement& placement,
+                                const VmSpec& candidate, PmId pm,
+                                const MapCalTable& table);
+
 /// Reserved footprint (Eq. 17 LHS) of an explicit host list.
 Resource reserved_footprint_specs(std::span<const VmSpec> hosted,
                                   const MapCalTable& table);

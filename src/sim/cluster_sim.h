@@ -177,6 +177,14 @@ class ClusterSimulator {
   /// Current (possibly migrated) placement; valid after run().
   [[nodiscard]] const Placement& placement() const { return placement_; }
 
+  /// Recovery controller contents (admission queue, retry totals, ladder
+  /// counters); nullopt without a fault plan.  Valid after run().
+  [[nodiscard]] std::optional<fault::RecoveryControllerState> recovery_state()
+      const {
+    if (!recovery_) return std::nullopt;
+    return recovery_->export_state();
+  }
+
  private:
   [[nodiscard]] Resource vm_demand(std::size_t i) const;
   void compute_loads(std::vector<Resource>& load,
