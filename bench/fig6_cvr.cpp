@@ -134,9 +134,8 @@ int main(int argc, char** argv) {
   ArgParser args("fig6_cvr", "Figure 6 CVR experiment + flight recorder");
   args.add_option("slots", "slots to simulate per strategy", "20000");
   args.add_option("obs-out",
-                  "record a flight log here (.jsonl, .csv for the "
-                  "long-format dump, .btrc for binary columnar) and "
-                  "self-verify the replay");
+                  "record a flight log here (.jsonl, or .btrc for binary "
+                  "columnar) and self-verify the replay");
   args.add_option("obs-level", "event level: off|decisions|detail",
                   "detail");
   if (!args.parse(argc, argv)) {
@@ -154,19 +153,17 @@ int main(int argc, char** argv) {
   obs::EventLevel obs_level = obs::EventLevel::kDetail;
   try {
     obs_level = obs::parse_event_level(args.get("obs-level"));
+    if (recording) {
+      obs_path = args.get("obs-out");
+      obs_format = obs::event_format_from_path(obs_path);
+    }
   } catch (const InvalidArgument& e) {
     std::cerr << "error: " << e.what() << "\n" << args.usage();
     return 2;
   }
-  if (recording) {
-    obs_path = args.get("obs-out");
-    obs_format = obs::event_format_from_path(obs_path);
-    obs::events().open(obs_path, obs_format, obs_level);
-  }
-  // Replay needs the per-slot detail stream in a replayable format —
-  // JSONL or BTRC, but not the string-typed long CSV.
+  if (recording) obs::events().open(obs_path, obs_format, obs_level);
+  // Replay needs the per-slot detail stream.
   const bool verifying = recording &&
-                         obs_format != obs::EventFormat::kCsv &&
                          obs_level >= obs::EventLevel::kDetail &&
                          obs::kEnabled;
   std::vector<ExpectedSegment> expected;

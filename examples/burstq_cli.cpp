@@ -16,8 +16,8 @@
 //   burstq_cli trace   <header|head|tail|tocsv|query|profile|flame>
 //       inspect and analyze a recorded flight log without a custom
 //       reader: header prints the BTRC schema, head/tail/tocsv print
-//       events as pipe-friendly id,kind,key,value CSV (any recorded
-//       format); head/tail --at-offset N resolve a harness or `slo
+//       events as pipe-friendly id,kind,key,value CSV (from JSONL or
+//       BTRC); head/tail --at-offset N resolve a harness or `slo
 //       explain` trace pointer (read from byte N instead of the file
 //       start); query filters events with a small expression language
 //       ("kind=slot.obs, t>=57, t<=70"); profile reconstructs the
@@ -40,8 +40,9 @@
 //       resume, snapshot exports a verified snapshot blob to a file
 //
 // Subcommands that do real work accept --obs-out FILE (record a
-// structured event log; a .csv extension switches to the long CSV
-// format, .btrc to the binary columnar flight-recorder format),
+// structured event log as JSONL, or with a .btrc extension in the
+// binary columnar flight-recorder format; `trace tocsv` converts
+// either to long CSV),
 // --obs-level off|decisions|detail, --obs-fsync (fsync the sink on
 // every flush), --obs-span-sample N (emit one span in N as
 // span.begin/span.end events; 0 = off), --obs-span-clock wall|virtual
@@ -114,8 +115,9 @@ int usage_all() {
 
 ArgParser& add_obs_options(ArgParser& args) {
   args.add_option("obs-out",
-                  "record a structured event log here (.jsonl; .csv selects "
-                  "the long CSV format, .btrc the binary columnar format)");
+                  "record a structured event log here (.jsonl, or .btrc "
+                  "for the binary columnar format; convert either to CSV "
+                  "with 'trace tocsv')");
   args.add_option("obs-level", "event level: off | decisions | detail",
                   "decisions");
   args.add_flag("obs-compress",
@@ -436,9 +438,10 @@ std::string trace_value_text(const obs::EventValue& v) {
   return {};
 }
 
-/// Prints events as long-format CSV rows (same layout as the CSV sink:
-/// a key-less kind row, then one row per field).  `first_id` numbers the
-/// first event — tail uses the absolute position in the file.
+/// Prints events as long-format CSV rows: a key-less kind row, then one
+/// row per field.  This is the program's only CSV event writer.
+/// `first_id` numbers the first event — tail uses the absolute position
+/// in the file.
 void print_events_csv(std::ostream& os,
                       const std::vector<obs::RecordedEvent>& events,
                       std::uint64_t first_id) {
@@ -464,7 +467,7 @@ int cmd_trace(int argc, const char* const* argv) {
                  "the BTRC schema, head/tail/tocsv/query emit "
                  "id,kind,key,value CSV, profile/flame aggregate span "
                  "events");
-  args.add_option("log", "recorded flight log (.btrc, .jsonl, or .csv)");
+  args.add_option("log", "recorded flight log (.btrc or .jsonl)");
   args.add_option("n", "events for head/tail", "10");
   args.add_alias('n', "n");
   args.add_option("at-offset",

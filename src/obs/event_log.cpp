@@ -26,15 +26,18 @@ EventLevel parse_event_level(std::string_view text) {
 std::string_view format_name(EventFormat format) noexcept {
   switch (format) {
     case EventFormat::kJsonl: return "jsonl";
-    case EventFormat::kCsv: return "csv";
     case EventFormat::kBinary: return "btrc";
   }
   return "?";
 }
 
-EventFormat event_format_from_path(std::string_view path) noexcept {
+EventFormat event_format_from_path(std::string_view path) {
   if (path.ends_with(".btrc")) return EventFormat::kBinary;
-  if (path.ends_with(".csv")) return EventFormat::kCsv;
+  if (path.ends_with(".csv"))
+    throw InvalidArgument(
+        "cannot record an event log to " + std::string(path) +
+        ": there is no CSV sink; record .jsonl or .btrc and convert with "
+        "`burstq_cli trace tocsv`");
   return EventFormat::kJsonl;
 }
 
@@ -101,10 +104,8 @@ void EventLog::open(const std::string& path, EventFormat format,
     out_.open(path, std::ios::out | std::ios::trunc);
     BURSTQ_REQUIRE(out_.is_open(), "cannot open event log: " + path);
   }
-  next_id_ = 0;
   written_.store(0, std::memory_order_relaxed);
   path_ = path;
-  if (format_ == EventFormat::kCsv) out_ << "id,kind,key,value\n";
 
   // Recorder self-metrics, one counter family per sink format.
   sink_format_name_ = std::string(format_name(format_));
@@ -201,7 +202,6 @@ EventLog::Checkpoint EventLog::checkpoint() {
     cp.format = format_;
     cp.path = path_;
     cp.bytes = static_cast<std::uint64_t>(out_.tellp());
-    cp.next_id = next_id_;
   } else {
     return cp;  // no sink open: callers treat the checkpoint as absent
   }
@@ -233,7 +233,6 @@ void EventLog::rewind(const Checkpoint& cp) {
     out_.open(path_, std::ios::out | std::ios::app);
     BURSTQ_REQUIRE(out_.is_open(),
                    "rewind: cannot reopen event log: " + path_);
-    next_id_ = cp.next_id;
   }
   written_.store(cp.events, std::memory_order_relaxed);
   metrics().counter("obs.trace.rewinds").add(1);
@@ -269,15 +268,6 @@ void EventLog::emit(EventLevel level, std::string_view kind,
     sync_trace_counters_locked();
   } else {
     if (!out_.is_open()) return;
-    if (format_ == EventFormat::kCsv) {
-      const std::uint64_t id = next_id_++;
-      const std::string id_kind =
-          std::to_string(id) + ',' + csv_escape(kind) + ',';
-      line = id_kind + ",\n";
-      for (const Field& f : fields)
-        line += id_kind + csv_escape(f.key) + ',' +
-                csv_escape(value_text(f)) + '\n';
-    }
     out_ << line;
     if (bytes_counter_ != nullptr) bytes_counter_->add(line.size());
   }

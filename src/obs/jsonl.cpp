@@ -207,106 +207,6 @@ std::optional<RecordedEvent> parse_event_line(std::string_view line,
   return std::nullopt;
 }
 
-namespace {
-
-/// Splits one RFC 4180 record (possibly spanning several physical lines
-/// when quoted fields embed newlines) into fields.  `in` has already
-/// yielded `line` via getline; more lines are pulled as needed.  Returns
-/// false on an unterminated quoted field at end of file.
-bool split_csv_record(std::istream& in, std::string line,
-                      std::vector<std::string>& fields) {
-  fields.clear();
-  fields.emplace_back();
-  bool quoted = false;
-  std::size_t i = 0;
-  while (true) {
-    if (i == line.size()) {
-      if (!quoted) return true;
-      // Quoted field continues on the next physical line.
-      std::string next;
-      if (!std::getline(in, next)) return false;
-      fields.back() += '\n';
-      line = std::move(next);
-      i = 0;
-      continue;
-    }
-    const char c = line[i++];
-    if (quoted) {
-      if (c != '"') {
-        fields.back() += c;
-      } else if (i < line.size() && line[i] == '"') {
-        fields.back() += '"';
-        ++i;
-      } else {
-        quoted = false;
-      }
-    } else if (c == '"') {
-      quoted = true;
-    } else if (c == ',') {
-      fields.emplace_back();
-    } else {
-      fields.back() += c;
-    }
-  }
-}
-
-}  // namespace
-
-std::vector<RecordedEvent> read_events_csv(const std::string& path) {
-  std::ifstream in(path);
-  BURSTQ_REQUIRE(in.is_open(), "cannot open event log: " + path);
-
-  std::vector<RecordedEvent> out;
-  std::string line;
-  std::vector<std::string> fields;
-  std::size_t line_no = 0;
-  bool saw_header = false;
-  std::string current_id;
-  const auto fail = [&](const std::string& what) {
-    throw InvalidArgument(path + ":" + std::to_string(line_no) + ": " + what);
-  };
-  while (std::getline(in, line)) {
-    ++line_no;
-    // CRLF tolerance on the header line only — a trailing \r inside a
-    // data record may be quoted field content and must survive.
-    if (!saw_header && !line.empty() && line.back() == '\r')
-      line.pop_back();
-    if (line.empty()) continue;
-    if (!split_csv_record(in, std::move(line), fields))
-      fail("unterminated quoted field");
-    line = {};
-    if (!saw_header) {
-      if (fields != std::vector<std::string>{"id", "kind", "key", "value"})
-        fail("expected header id,kind,key,value");
-      saw_header = true;
-      continue;
-    }
-    if (fields.size() != 4) fail("expected 4 columns, got " +
-                                 std::to_string(fields.size()));
-    std::string& id = fields[0];
-    std::string& kind = fields[1];
-    std::string& key = fields[2];
-    std::string& value = fields[3];
-    if (kind.empty()) fail("row without a kind");
-    if (out.empty() || id != current_id) {
-      // A fresh id opens a new event; its first row carries the kind.
-      if (!key.empty() || !value.empty())
-        fail("event must start with its kind row");
-      RecordedEvent ev;
-      ev.kind = std::move(kind);
-      out.push_back(std::move(ev));
-      current_id = std::move(id);
-      continue;
-    }
-    if (kind != out.back().kind) fail("kind changed within one event id");
-    EventValue v;
-    v.tag = EventValue::Tag::kString;
-    v.str = std::move(value);
-    out.back().fields.emplace_back(std::move(key), std::move(v));
-  }
-  return out;
-}
-
 std::vector<RecordedEvent> read_events_jsonl(const std::string& path) {
   std::ifstream in(path, std::ios::in | std::ios::binary);
   BURSTQ_REQUIRE(in.is_open(), "cannot open event log: " + path);

@@ -184,12 +184,4 @@ std::optional<RecordedEvent> parse_event_line(std::string_view line,
 /// cannot be opened or any non-blank line is malformed.
 std::vector<RecordedEvent> read_events_jsonl(const std::string& path);
 
-/// Reads a long-format CSV event file (`id,kind,key,value`, RFC 4180
-/// quoting) back into events: rows sharing an id become one event, the
-/// key-less first row carries the kind.  CSV is lossy about types — every
-/// value comes back as EventValue::Tag::kString — so this feeds ad-hoc
-/// analysis and round-trip tests, not replay.  Throws InvalidArgument on
-/// open failure or malformed rows.
-std::vector<RecordedEvent> read_events_csv(const std::string& path);
-
 }  // namespace burstq::obs

@@ -54,8 +54,7 @@ std::string value_text(const EventValue& v) {
   return buf;
 }
 
-/// Numeric view of a field value; strings are coerced when they parse
-/// (CSV logs read everything back string-typed).
+/// Numeric view of a field value; strings are coerced when they parse.
 bool value_number(const EventValue& v, double* out) {
   switch (v.tag) {
     case EventValue::Tag::kNumber: *out = v.num; return true;
@@ -142,10 +141,8 @@ bool Query::matches(const RecordedEvent& ev) const {
 }
 
 std::uint64_t scan_events(const std::string& path, const EventScanFn& fn) {
-  const EventFormat format = sniff_event_format(path);
   std::uint64_t total = 0;
-
-  if (format == EventFormat::kBinary) {
+  if (sniff_event_format(path) == EventFormat::kBinary) {
     TraceReader reader(path);
     std::vector<RecordedEvent> block;
     while (true) {
@@ -155,17 +152,6 @@ std::uint64_t scan_events(const std::string& path, const EventScanFn& fn) {
       for (std::size_t i = 0; i < block.size(); ++i)
         if (!fn(block[i], block_start, total + i)) return total + i + 1;
       total += block.size();
-    }
-    return total;
-  }
-
-  if (format == EventFormat::kCsv) {
-    // Long CSV groups rows by id, so per-event byte offsets don't
-    // exist; deliver the decoded events with offset 0.
-    const std::vector<RecordedEvent> events = read_events_csv(path);
-    for (const RecordedEvent& ev : events) {
-      if (!fn(ev, 0, total)) return total + 1;
-      ++total;
     }
     return total;
   }

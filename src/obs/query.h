@@ -10,7 +10,7 @@
 // Each clause is `key op value` with op one of = != < <= > >=.  `kind`
 // matches the event kind (equality only); any other key names a field.
 // Values that parse as numbers compare numerically (bools count as
-// 0/1, string-typed digits from CSV logs are coerced); anything else
+// 0/1, string fields that parse as numbers are coerced); anything else
 // compares as text with =/!= only.  A clause naming an absent field
 // never matches — `kind=slot.obs, viol=` is not expressible and does
 // not need to be.
@@ -64,10 +64,9 @@ using EventScanFn =
 
 /// Streams a recorded trace in whatever format it actually is, calling
 /// `fn` once per event in file order.  Offsets are resolvable pointers
-/// for JSONL (line start) and BTRC (containing block's boundary); long
-/// CSV has no stable per-event offsets, so its events arrive with
-/// offset 0.  Returns the number of events visited.  Throws
-/// InvalidArgument on unreadable or corrupt input.
+/// for JSONL (line start) and BTRC (containing block's boundary).
+/// Returns the number of events visited.  Throws InvalidArgument on
+/// unreadable or corrupt input.
 std::uint64_t scan_events(const std::string& path, const EventScanFn& fn);
 
 }  // namespace burstq::obs

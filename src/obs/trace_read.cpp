@@ -517,7 +517,12 @@ EventFormat sniff_event_format(const std::string& path) {
   std::string first_line;
   std::getline(in, first_line);
   if (!first_line.empty() && first_line.back() == '\r') first_line.pop_back();
-  if (first_line == "id,kind,key,value") return EventFormat::kCsv;
+  if (first_line == "id,kind,key,value")
+    throw InvalidArgument(
+        path +
+        ": long-CSV event logs are lossy (string-typed) and cannot be read "
+        "back; record .jsonl or .btrc and convert with `burstq_cli trace "
+        "tocsv`");
   return EventFormat::kJsonl;
 }
 
@@ -588,32 +593,14 @@ std::vector<RecordedEvent> read_at_offset_jsonl(const std::string& path,
 std::vector<RecordedEvent> read_events_at_offset(const std::string& path,
                                                  std::uint64_t offset,
                                                  std::size_t max_events) {
-  switch (sniff_event_format(path)) {
-    case EventFormat::kBinary:
-      return read_at_offset_btrc(path, offset, max_events);
-    case EventFormat::kCsv:
-      throw InvalidArgument(
-          path +
-          ": long-CSV event logs have no stable per-event offsets; trace "
-          "pointers resolve only into JSONL or BTRC traces");
-    case EventFormat::kJsonl:
-      break;
-  }
+  if (sniff_event_format(path) == EventFormat::kBinary)
+    return read_at_offset_btrc(path, offset, max_events);
   return read_at_offset_jsonl(path, offset, max_events);
 }
 
-std::vector<RecordedEvent> read_events_auto(const std::string& path,
-                                            EventFormat* format) {
-  const EventFormat f = sniff_event_format(path);
-  if (format != nullptr) *format = f;
-  switch (f) {
-    case EventFormat::kBinary:
-      return read_events_btrc(path);
-    case EventFormat::kCsv:
-      return read_events_csv(path);
-    case EventFormat::kJsonl:
-      break;
-  }
+std::vector<RecordedEvent> read_events_auto(const std::string& path) {
+  if (sniff_event_format(path) == EventFormat::kBinary)
+    return read_events_btrc(path);
   return read_events_jsonl(path);
 }
 

@@ -227,6 +227,9 @@ SimReport ClusterSimulator::run() {
 
   std::vector<std::size_t> obs_active;
   std::vector<std::size_t> obs_violated;
+  // PMs a migration copy is leaving this slot (step 5); all zero between
+  // slots.
+  std::vector<std::uint8_t> copy_source(m, 0);
 
   // The harness observer needs the per-slot id lists even when no
   // detail-level trace sink is open; so do durable snapshots (the
@@ -392,17 +395,16 @@ SimReport ClusterSimulator::run() {
       }
     }
 
-    // 5. usage + energy.
+    // 5. usage + energy.  A PM is active while it hosts VMs or a copy
+    // is still leaving it.
+    for (const InFlight& f : in_flight_) copy_source[f.source_pm] = 1;
     std::size_t used = 0;
     for (std::size_t j = 0; j < m; ++j) {
-      const bool active =
-          placement_.count_on(PmId{j}) > 0 ||
-          std::any_of(in_flight_.begin(), in_flight_.end(),
-                      [j](const InFlight& f) { return f.source_pm == j; });
-      if (!active) continue;
+      if (placement_.count_on(PmId{j}) == 0 && copy_source[j] == 0) continue;
       ++used;
       meter.add_pm_slot(load[j] / capacity[j]);
     }
+    for (const InFlight& f : in_flight_) copy_source[f.source_pm] = 0;
     report.pms_used_timeline.push_back(used);
     report.migrations_per_slot.push_back(migrations_this_slot);
     report.pms_used_max = std::max(report.pms_used_max, used);
@@ -515,26 +517,34 @@ void ClusterSimulator::maybe_checkpoint(std::size_t t) {
   store_->prune(2);
 }
 
+namespace {
+
+/// Layout version of the snapshot blob: bump it on every layout change
+/// so an older blob is refused, not misread.
+constexpr std::uint64_t kBlobVersion = 2;
+
+}  // namespace
+
+// Digest of the construction arguments the blob does NOT carry — a
+// restore into a differently-configured simulator must fail loudly, not
+// deserialize garbage.
+std::uint32_t ClusterSimulator::config_digest() const {
+  std::string cfg;
+  obs::trace_detail::put_varint(cfg, inst_->n_vms());
+  obs::trace_detail::put_varint(cfg, inst_->n_pms());
+  obs::trace_detail::put_varint(cfg, config_.slots);
+  obs::trace_detail::put_varint(cfg, config_.policy.cvr_window);
+  obs::trace_detail::put_varint(cfg, config_.policy.max_vms_per_pm);
+  obs::trace_detail::put_varint(cfg, config_.webserver_workload ? 1u : 0u);
+  obs::trace_detail::put_varint(cfg, config_.slo != nullptr ? 1u : 0u);
+  return obs::trace_detail::crc32(cfg);
+}
+
 std::string ClusterSimulator::encode_state(std::size_t t) {
   durable::StateWriter w;
-  w.u64(1);  // blob version
+  w.u64(kBlobVersion);
   w.varint(t);
-
-  // Digest of the construction arguments the blob does NOT carry — a
-  // restore into a differently-configured simulator must fail loudly,
-  // not deserialize garbage.
-  {
-    std::string cfg;
-    obs::trace_detail::put_varint(cfg, inst_->n_vms());
-    obs::trace_detail::put_varint(cfg, inst_->n_pms());
-    obs::trace_detail::put_varint(cfg, config_.slots);
-    obs::trace_detail::put_varint(cfg, config_.policy.cvr_window);
-    obs::trace_detail::put_varint(cfg, config_.policy.max_vms_per_pm);
-    obs::trace_detail::put_varint(cfg,
-                                  config_.webserver_workload ? 1u : 0u);
-    obs::trace_detail::put_varint(cfg, config_.slo != nullptr ? 1u : 0u);
-    w.u32(obs::trace_detail::crc32(cfg));
-  }
+  w.u32(config_digest());
 
   for (const std::uint64_t s : rng_.state()) w.u64(s);
   for (const std::uint64_t s : ensemble_.rng().state()) w.u64(s);
@@ -649,7 +659,6 @@ std::string ClusterSimulator::encode_state(std::size_t t) {
     w.varint(cp.bytes);
     w.varint(cp.events);
     w.varint(cp.blocks);
-    w.varint(cp.next_id);
   }
   return w.take();
 }
@@ -667,24 +676,13 @@ ClusterSimulator::RestoreInfo ClusterSimulator::restore_from_durable() {
   durable::StateReader r(loaded->blob, "snapshot " + loaded->path);
 
   const std::uint64_t version = r.u64();
-  if (version != 1) r.fail("unsupported snapshot blob version");
+  if (version != kBlobVersion) r.fail("unsupported snapshot blob version");
   const std::size_t slot = r.varint();
   if (slot != loaded->slot) r.fail("blob slot disagrees with the header");
-  {
-    std::string cfg;
-    obs::trace_detail::put_varint(cfg, inst_->n_vms());
-    obs::trace_detail::put_varint(cfg, inst_->n_pms());
-    obs::trace_detail::put_varint(cfg, config_.slots);
-    obs::trace_detail::put_varint(cfg, config_.policy.cvr_window);
-    obs::trace_detail::put_varint(cfg, config_.policy.max_vms_per_pm);
-    obs::trace_detail::put_varint(cfg,
-                                  config_.webserver_workload ? 1u : 0u);
-    obs::trace_detail::put_varint(cfg, config_.slo != nullptr ? 1u : 0u);
-    if (r.u32() != obs::trace_detail::crc32(cfg))
-      r.fail(
-          "config digest mismatch — the restoring simulator was "
-          "constructed with different arguments");
-  }
+  if (r.u32() != config_digest())
+    r.fail(
+        "config digest mismatch — the restoring simulator was "
+        "constructed with different arguments");
 
   std::array<std::uint64_t, 4> rng_state{};
   for (auto& s : rng_state) s = r.u64();
@@ -832,13 +830,13 @@ ClusterSimulator::RestoreInfo ClusterSimulator::restore_from_durable() {
   cp.valid = r.boolean();
   if (cp.valid) {
     const std::uint8_t fmt = r.u8();
-    if (fmt > 2) r.fail("trace checkpoint format out of range");
+    if (fmt > static_cast<std::uint8_t>(obs::EventFormat::kBinary))
+      r.fail("trace checkpoint format out of range");
     cp.format = static_cast<obs::EventFormat>(fmt);
     cp.path = r.str();
     cp.bytes = r.varint();
     cp.events = r.varint();
     cp.blocks = r.varint();
-    cp.next_id = r.varint();
   }
   r.expect_done();
 
@@ -895,10 +893,17 @@ ClusterSimulator::RestoreInfo ClusterSimulator::restore_from_durable() {
   return RestoreInfo{slot, verify_groups_.size()};
 }
 
-std::vector<std::vector<bool>> record_violation_trace(
-    const ProblemInstance& inst, const Placement& placement,
-    std::size_t slots, Rng rng, bool start_stationary) {
-  BURSTQ_REQUIRE(slots > 0, "needs at least one slot");
+namespace {
+
+// The fixed-placement slot loop behind record_violation_trace and
+// simulate_cvr.  `label` names the recorded segment: each public entry
+// point passes its own, so their traces stay apart.
+std::vector<std::vector<bool>> violation_trace(const ProblemInstance& inst,
+                                               const Placement& placement,
+                                               std::size_t slots, Rng rng,
+                                               bool start_stationary,
+                                               const char* label) {
+  BURSTQ_REQUIRE(slots > 0, std::string(label) + " needs at least one slot");
   BURSTQ_REQUIRE(placement.vms_assigned() == inst.n_vms(),
                  "placement must assign every VM");
 
@@ -906,8 +911,7 @@ std::vector<std::vector<bool>> record_violation_trace(
   std::vector<std::vector<bool>> violated(
       inst.n_pms(), std::vector<bool>(slots, false));
 
-  FlightSlotRecorder recorder("violation_trace", inst.n_pms(), slots,
-                              slots, 0.0);
+  FlightSlotRecorder recorder(label, inst.n_pms(), slots, slots, 0.0);
   std::vector<std::size_t> obs_active;
   std::vector<std::size_t> obs_violated;
 
@@ -935,48 +939,26 @@ std::vector<std::vector<bool>> record_violation_trace(
   return violated;
 }
 
+}  // namespace
+
+std::vector<std::vector<bool>> record_violation_trace(
+    const ProblemInstance& inst, const Placement& placement,
+    std::size_t slots, Rng rng, bool start_stationary) {
+  return violation_trace(inst, placement, slots, rng, start_stationary,
+                         "violation_trace");
+}
+
 std::vector<double> simulate_cvr(const ProblemInstance& inst,
                                  const Placement& placement,
                                  std::size_t slots, Rng rng,
                                  bool start_stationary) {
-  BURSTQ_REQUIRE(slots > 0, "simulate_cvr needs at least one slot");
-  BURSTQ_REQUIRE(placement.vms_assigned() == inst.n_vms(),
-                 "placement must assign every VM");
-
-  WorkloadEnsemble ensemble(inst, rng, start_stationary);
-  std::vector<std::size_t> violations(inst.n_pms(), 0);
-
-  FlightSlotRecorder recorder("simulate_cvr", inst.n_pms(), slots, slots,
-                              0.0);
-  std::vector<std::size_t> obs_active;
-  std::vector<std::size_t> obs_violated;
-
-  for (std::size_t t = 0; t < slots; ++t) {
-    BURSTQ_SPAN("sim.slot");
-    if (t > 0) ensemble.step();
-    if (recorder.enabled()) {
-      obs_active.clear();
-      obs_violated.clear();
-    }
-    for (std::size_t j = 0; j < inst.n_pms(); ++j) {
-      const PmId pm{j};
-      if (placement.count_on(pm) == 0) continue;
-      Resource loadj = 0.0;
-      for (std::size_t i : placement.vms_on(pm)) loadj += ensemble.demand(i);
-      const bool hit =
-          loadj > inst.pms[j].capacity * (1.0 + kCapacityEpsilon);
-      if (hit) ++violations[j];
-      if (recorder.enabled()) {
-        obs_active.push_back(j);
-        if (hit) obs_violated.push_back(j);
-      }
-    }
-    recorder.slot(t, obs_active, obs_violated);
-  }
-
+  const std::vector<std::vector<bool>> violated = violation_trace(
+      inst, placement, slots, rng, start_stationary, "simulate_cvr");
   std::vector<double> cvr(inst.n_pms(), 0.0);
   for (std::size_t j = 0; j < inst.n_pms(); ++j)
-    cvr[j] = static_cast<double>(violations[j]) / static_cast<double>(slots);
+    cvr[j] = static_cast<double>(std::count(violated[j].begin(),
+                                            violated[j].end(), true)) /
+             static_cast<double>(slots);
   return cvr;
 }
 

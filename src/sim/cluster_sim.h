@@ -194,6 +194,8 @@ class ClusterSimulator {
   void maybe_checkpoint(std::size_t t);
   /// Serializes the complete simulator state at the top of slot `t`.
   [[nodiscard]] std::string encode_state(std::size_t t);
+  /// CRC-32 of the construction arguments a snapshot blob does not carry.
+  [[nodiscard]] std::uint32_t config_digest() const;
   void journal(durable::WalRecord type, std::string payload);
   /// Frames + commits this slot's journal group; during replay verifies
   /// it byte-for-byte against the pre-kill WAL (divergence is loud).

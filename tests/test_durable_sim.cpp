@@ -12,6 +12,7 @@
 #include "common/error.h"
 #include "durable/durable.h"
 #include "durable/snapshot.h"
+#include "durable/state_codec.h"
 #include "durable/wal.h"
 #include "obs/event_log.h"
 #include "placement/baselines.h"
@@ -301,6 +302,37 @@ TEST_F(DurableSimTest, RestoreIntoDifferentConfigIsRejected) {
   other.slots = 90;  // different horizon -> different digest
   ClusterSimulator second(inst, placed.placement, other, Rng(17));
   EXPECT_THROW((void)second.restore_from_durable(), durable::CorruptState);
+}
+
+TEST_F(DurableSimTest, OlderBlobVersionIsRejected) {
+  const auto inst = small_instance(18);
+  const auto placed = ffd_by_peak(inst);
+  ASSERT_TRUE(placed.complete());
+  const std::string state = (dir_ / "state").string();
+  const SimConfig killed = base_config("kill@30", state);
+  ClusterSimulator first(inst, placed.placement, killed, Rng(18));
+  EXPECT_THROW((void)first.run(), durable::SimKilled);
+
+  // Re-stamp the newest snapshot with layout version 1 (the blob opens
+  // with its version as a u64); its layout differs from today's.
+  durable::SnapshotStore store(state, false);
+  const auto loaded = store.load_newest();
+  ASSERT_TRUE(loaded.has_value());
+  durable::StateWriter version;
+  version.u64(1);
+  std::string blob = loaded->blob;
+  blob.replace(0, 8, version.take());
+  store.write_snapshot(loaded->slot, blob);
+
+  ClusterSimulator second(inst, placed.placement, killed, Rng(18));
+  try {
+    (void)second.restore_from_durable();
+    FAIL() << "expected CorruptState";
+  } catch (const durable::CorruptState& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported snapshot blob version"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(DurableSimConfig, KillsRequireDurability) {

@@ -435,7 +435,7 @@ TEST(TraceDegenerate, SinglePartialBlockYieldsNoEventsAndNamesHeader) {
 
 // ---- format dispatch -------------------------------------------------
 
-TEST(FormatDispatch, SniffsAllThreeFormats) {
+TEST(FormatDispatch, SniffsBothFormats) {
   const std::string btrc = temp_path("sniff.btrc_actually_jsonl_name");
   {
     TraceWriter w(btrc);
@@ -447,25 +447,40 @@ TEST(FormatDispatch, SniffsAllThreeFormats) {
   spit(jsonl, "{\"kind\":\"k\",\"a\":1}\n");
   EXPECT_EQ(sniff_event_format(jsonl), EventFormat::kJsonl);
 
-  const std::string csv = temp_path("sniff.csv");
-  spit(csv, "id,kind,key,value\n0,k,,\n0,k,a,1\n");
-  EXPECT_EQ(sniff_event_format(csv), EventFormat::kCsv);
-
-  EventFormat seen{};
-  const auto via_auto = read_events_auto(btrc, &seen);
-  EXPECT_EQ(seen, EventFormat::kBinary);
+  const auto via_auto = read_events_auto(btrc);
   ASSERT_EQ(via_auto.size(), 1u);
   EXPECT_EQ(via_auto[0].integer("a"), 1);
 }
 
 TEST(FormatDispatch, PathExtensionMapping) {
   EXPECT_EQ(event_format_from_path("x.btrc"), EventFormat::kBinary);
-  EXPECT_EQ(event_format_from_path("x.csv"), EventFormat::kCsv);
   EXPECT_EQ(event_format_from_path("x.jsonl"), EventFormat::kJsonl);
   EXPECT_EQ(event_format_from_path("x.log"), EventFormat::kJsonl);
   EXPECT_EQ(format_name(EventFormat::kBinary), "btrc");
   EXPECT_EQ(format_name(EventFormat::kJsonl), "jsonl");
-  EXPECT_EQ(format_name(EventFormat::kCsv), "csv");
+}
+
+// Long CSV is an export (`trace tocsv`), not a recording format: a .csv
+// sink path and a file starting with the long-CSV header both throw, and
+// the message points at the converter.
+TEST(FormatDispatch, LongCsvIsRejectedNamingTraceTocsv) {
+  const auto expect_tocsv_hint = [](const auto& call) {
+    try {
+      call();
+      ADD_FAILURE() << "long CSV must be rejected";
+    } catch (const InvalidArgument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("trace tocsv"), std::string::npos) << what;
+      EXPECT_NE(what.find(".btrc"), std::string::npos) << what;
+    }
+  };
+  expect_tocsv_hint([] { (void)event_format_from_path("x.csv"); });
+
+  const std::string csv = temp_path("sniff.csv");
+  spit(csv, "id,kind,key,value\n0,k,,\n0,k,a,1\n");
+  expect_tocsv_hint([&] { (void)sniff_event_format(csv); });
+  expect_tocsv_hint([&] { (void)read_events_auto(csv); });
+  expect_tocsv_hint([&] { (void)read_events_at_offset(csv, 0, 1); });
 }
 
 // ---- EventLog integration --------------------------------------------
@@ -596,7 +611,12 @@ TEST(TraceReplay, CsvLogsAreRejectedWithClearError) {
   SimConfig cfg;
   cfg.slots = 50;
   const std::string csv_path = temp_path("replay_reject.csv");
-  record_run(csv_path, inst, placed.result.placement, cfg, 1);
+  // There is no CSV sink to record with, so write the long-CSV rows
+  // `trace tocsv` would print for the run's first event.
+  EXPECT_THROW(record_run(csv_path, inst, placed.result.placement, cfg, 1),
+               InvalidArgument);
+  spit(csv_path,
+       "id,kind,key,value\n0,sim.config,,\n0,sim.config,n_pms,10\n");
   try {
     replay_flight_log(csv_path, nullptr);
     FAIL() << "CSV replay must be rejected";
