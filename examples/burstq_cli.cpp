@@ -505,9 +505,11 @@ int cmd_trace(int argc, const char* const* argv) {
   }
   const std::string path = args.get("log");
   const auto n = static_cast<std::size_t>(args.get_int("n"));
+  // Sniff before any output, so a missing or refused log leaves stdout
+  // empty rather than a lone CSV header beside the error.
+  const obs::EventFormat format = obs::sniff_event_format(path);
 
   if (verb == "header") {
-    const obs::EventFormat format = obs::sniff_event_format(path);
     if (format != obs::EventFormat::kBinary) {
       std::cerr << "error: " << path << " is "
                 << obs::format_name(format)
@@ -597,7 +599,7 @@ int cmd_trace(int argc, const char* const* argv) {
     }
     // Pull blocks only until enough events arrived, so head of a huge
     // trace stays cheap.
-    if (obs::sniff_event_format(path) == obs::EventFormat::kBinary) {
+    if (format == obs::EventFormat::kBinary) {
       obs::TraceReader reader(path);
       std::vector<obs::RecordedEvent> events;
       while (events.size() < n && reader.next_block(events)) {
@@ -628,7 +630,7 @@ int cmd_trace(int argc, const char* const* argv) {
   }
   std::vector<obs::RecordedEvent> window;
   std::uint64_t total = 0;
-  if (obs::sniff_event_format(path) == obs::EventFormat::kBinary) {
+  if (format == obs::EventFormat::kBinary) {
     obs::TraceReader reader(path);
     while (reader.next_block(window)) {
       if (window.size() > n)

@@ -10,8 +10,12 @@ namespace {
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 }  // namespace
 
-PmSlackTree::PmSlackTree(std::vector<double> keys) : n_(keys.size()) {
-  BURSTQ_REQUIRE(n_ >= 1, "slack tree needs at least one key");
+PmSlackTree::PmSlackTree(std::vector<double> keys) { rebuild(keys); }
+
+void PmSlackTree::rebuild(std::span<const double> keys) {
+  BURSTQ_REQUIRE(!keys.empty(), "slack tree needs at least one key");
+  n_ = keys.size();
+  base_ = 1;
   while (base_ < n_) base_ <<= 1;
   // Padding leaves hold -inf so they never satisfy a threshold query.
   tree_.assign(2 * base_, kNegInf);

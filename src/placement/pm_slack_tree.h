@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <limits>
+#include <span>
 #include <vector>
 
 namespace burstq {
@@ -24,6 +25,10 @@ class PmSlackTree {
 
   /// Builds the tree over `keys` (one per PM).  Requires at least one key.
   explicit PmSlackTree(std::vector<double> keys);
+
+  /// Replaces every key at once (one per PM; at least one).  O(m), and
+  /// allocation-free while the key count stays the same.
+  void rebuild(std::span<const double> keys);
 
   /// Replaces the key of PM `i` and refreshes the root path.  O(log m).
   void update(std::size_t i, double key);

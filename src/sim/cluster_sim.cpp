@@ -10,6 +10,7 @@
 #include "obs/slo.h"
 #include "placement/queuing_ffd.h"
 #include "sim/flight.h"
+#include "sim/target_index.h"
 #include "sim/tracker_codec.h"
 
 namespace burstq {
@@ -230,6 +231,9 @@ SimReport ClusterSimulator::run() {
   // PMs a migration copy is leaving this slot (step 5); all zero between
   // slots.
   std::vector<std::uint8_t> copy_source(m, 0);
+  TargetIndex targets(*inst_, config_.policy.target,
+                      config_.policy.max_vms_per_pm,
+                      reservation_table_ ? &*reservation_table_ : nullptr);
 
   // The harness observer needs the per-slot id lists even when no
   // detail-level trace sink is open; so do durable snapshots (the
@@ -309,6 +313,10 @@ SimReport ClusterSimulator::run() {
     std::size_t migrations_this_slot = 0;
     const std::size_t failed_before = report.failed_migrations;
     if (config_.enable_migration) {
+      const std::span<const std::uint8_t> up =
+          injector_ ? std::span<const std::uint8_t>(injector_->up_mask())
+                    : std::span<const std::uint8_t>{};
+      bool targets_current = false;
       for (std::size_t j = 0; j < m; ++j) {
         const PmId source{j};
         if (placement_.count_on(source) == 0) continue;
@@ -320,33 +328,19 @@ SimReport ClusterSimulator::run() {
         BURSTQ_ASSERT(victim.has_value(), "non-empty PM had no victim");
         const Resource vdemand = demand_cache_[victim->value];
 
-        const std::span<const std::uint8_t> up =
-            injector_ ? std::span<const std::uint8_t>(injector_->up_mask())
-                      : std::span<const std::uint8_t>{};
-        std::optional<PmId> target;
-        if (config_.policy.target == TargetSelection::kReservationAware) {
-          for (std::size_t p = 0; p < m; ++p) {
-            const PmId cand{p};
-            if (cand == source) continue;
-            if (!up.empty() && !up[p]) continue;
-            if (fits_with_reservation(*inst_, placement_, *victim, cand,
-                                      *reservation_table_)) {
-              target = cand;
-              break;
-            }
-          }
-        } else {
-          std::vector<std::size_t> counts(m);
-          for (std::size_t p = 0; p < m; ++p)
-            counts[p] = placement_.count_on(PmId{p});
-          target = select_target(source, vdemand, load, capacity, counts,
-                                 config_.policy.max_vms_per_pm, up);
+        if (!targets_current) {
+          targets.rebuild(placement_, load, up);
+          targets_current = true;
         }
+        const std::optional<PmId> target =
+            targets.select(placement_, load, source, *victim, vdemand);
 
         if (target) {
           placement_.unassign(*victim);
           placement_.assign(*victim, *target);
           load[target->value] += vdemand;
+          targets.refresh(placement_, load, up, source);
+          targets.refresh(placement_, load, up, *target);
           // Source keeps carrying the copy for cost_slots (>= 1) slots.
           in_flight_.push_back(
               InFlight{victim->value, j, config_.policy.cost_slots});

@@ -2,7 +2,6 @@
 
 #include "common/error.h"
 #include "obs/obs.h"
-#include "placement/placement.h"
 
 namespace burstq {
 
@@ -68,30 +67,6 @@ std::optional<VmId> select_victim_policy(
     }
   }
   return best;
-}
-
-std::optional<PmId> select_target(PmId source, Resource victim_demand,
-                                  std::span<const Resource> pm_load,
-                                  std::span<const Resource> pm_capacity,
-                                  std::span<const std::size_t> pm_vm_count,
-                                  std::size_t max_vms,
-                                  std::span<const std::uint8_t> pm_up) {
-  BURSTQ_REQUIRE(pm_load.size() == pm_capacity.size() &&
-                     pm_load.size() == pm_vm_count.size(),
-                 "per-PM spans must agree in length");
-  BURSTQ_REQUIRE(pm_up.empty() || pm_up.size() == pm_load.size(),
-                 "pm_up mask must be empty or match the PM count");
-  BURSTQ_COUNT("sim.target_searches", 1);
-  for (std::size_t j = 0; j < pm_load.size(); ++j) {
-    const PmId pm{j};
-    if (pm == source) continue;
-    if (!pm_up.empty() && !pm_up[j]) continue;
-    if (pm_vm_count[j] + 1 > max_vms) continue;
-    if (pm_load[j] + victim_demand <=
-        pm_capacity[j] * (1.0 + kCapacityEpsilon))
-      return pm;
-  }
-  return std::nullopt;
 }
 
 }  // namespace burstq

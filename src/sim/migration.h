@@ -7,15 +7,14 @@
 // fluctuation").  The target PM is chosen by *currently observed* load —
 // deliberately so: that is exactly what a burstiness-unaware scheduler
 // does, and it is the mechanism behind the paper's "idle deception" and
-// "cycle migration" phenomena for the RB/RB-EX packings.
+// "cycle migration" phenomena for the RB/RB-EX packings.  The target
+// search itself is TargetIndex (sim/target_index.h).
 
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <optional>
 #include <span>
-#include <vector>
 
 #include "common/types.h"
 #include "markov/onoff.h"
@@ -72,18 +71,5 @@ std::optional<VmId> select_victim_policy(
     VictimSelection policy, const ProblemInstance& inst,
     std::span<const std::size_t> vms_on_pm, std::span<const Resource> demand,
     std::span<const VmState> state);
-
-/// Chooses the destination PM by observed load: the first PM (by index)
-/// other than `source` with fewer than `max_vms` VMs whose current
-/// aggregate demand plus the victim's demand stays within capacity.
-/// A non-empty `pm_up` mask (byte per PM, nonzero = up) excludes down PMs
-/// (fault injection); empty means every PM is a candidate.  Returns
-/// nullopt when no PM qualifies.
-std::optional<PmId> select_target(PmId source, Resource victim_demand,
-                                  std::span<const Resource> pm_load,
-                                  std::span<const Resource> pm_capacity,
-                                  std::span<const std::size_t> pm_vm_count,
-                                  std::size_t max_vms,
-                                  std::span<const std::uint8_t> pm_up = {});
 
 }  // namespace burstq

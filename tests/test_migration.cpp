@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <vector>
+
 #include "common/error.h"
 #include "sim/migration.h"
+#include "sim/target_index.h"
 
 namespace burstq {
 namespace {
@@ -41,6 +46,40 @@ TEST(SelectVictim, OnBeatsLargerOffDemand) {
   const std::vector<Resource> demand{50.0, 8.0};
   const std::vector<VmState> state{VmState::kOff, VmState::kOn};
   EXPECT_EQ(*select_victim(on_pm, demand, state), VmId{1});
+}
+
+// The observed-load rule reads loads from its own span; the instance only
+// supplies capacities and the placement only the per-PM VM counts.
+ProblemInstance fleet(const std::vector<Resource>& cap,
+                      const std::vector<std::size_t>& count) {
+  ProblemInstance inst;
+  for (const Resource c : cap) inst.pms.push_back(PmSpec{c});
+  std::size_t n = 0;
+  for (const std::size_t k : count) n += k;
+  inst.vms.assign(std::max<std::size_t>(n, 1),
+                  VmSpec{OnOffParams{0.1, 0.5}, 1.0, 1.0});
+  return inst;
+}
+
+Placement hosting(const ProblemInstance& inst,
+                  const std::vector<std::size_t>& count) {
+  Placement pl(inst);
+  std::size_t vm = 0;
+  for (std::size_t j = 0; j < count.size(); ++j)
+    for (std::size_t k = 0; k < count[j]; ++k) pl.assign(VmId{vm++}, PmId{j});
+  return pl;
+}
+
+std::optional<PmId> select_target(PmId source, Resource victim_demand,
+                                  const std::vector<Resource>& load,
+                                  const std::vector<Resource>& cap,
+                                  const std::vector<std::size_t>& count,
+                                  std::size_t max_vms) {
+  const ProblemInstance inst = fleet(cap, count);
+  const Placement pl = hosting(inst, count);
+  TargetIndex index(inst, TargetSelection::kObservedLoad, max_vms, nullptr);
+  index.rebuild(pl, load, {});
+  return index.select(pl, load, source, VmId{0}, victim_demand);
 }
 
 TEST(SelectTarget, FirstFitByObservedLoad) {
