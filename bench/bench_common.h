@@ -46,8 +46,8 @@ inline void banner(const std::string& text) {
 /// Scrapes the metrics registry, prints the span/counter summary to
 /// stdout and writes the full snapshot to `<out_dir>/<name>_obs.csv`.
 /// The CSV leads with a `meta,trace_format,<fmt>` row naming the event
-/// sink format the run recorded ("none" when no sink was opened), so
-/// BENCH comparisons across formats stay self-describing.
+/// sink format the run recorded ("btrc", or "none" when no sink was
+/// opened).
 /// Call once at the end of a harness; a no-op table under BURSTQ_NO_OBS.
 inline void emit_obs_summary(const std::string& name) {
   const obs::MetricsSnapshot snap = obs::metrics().scrape();

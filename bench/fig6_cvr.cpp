@@ -134,8 +134,8 @@ int main(int argc, char** argv) {
   ArgParser args("fig6_cvr", "Figure 6 CVR experiment + flight recorder");
   args.add_option("slots", "slots to simulate per strategy", "20000");
   args.add_option("obs-out",
-                  "record a flight log here (.jsonl, or .btrc for binary "
-                  "columnar) and self-verify the replay");
+                  "record a flight log here (.btrc) and self-verify the "
+                  "replay");
   args.add_option("obs-level", "event level: off|decisions|detail",
                   "detail");
   if (!args.parse(argc, argv)) {
@@ -148,20 +148,17 @@ int main(int argc, char** argv) {
   const std::size_t kSlots = static_cast<std::size_t>(args.get_int("slots"));
 
   const bool recording = args.has("obs-out");
-  std::string obs_path;
-  obs::EventFormat obs_format = obs::EventFormat::kJsonl;
+  const std::string obs_path = recording ? args.get("obs-out") : "";
   obs::EventLevel obs_level = obs::EventLevel::kDetail;
   try {
     obs_level = obs::parse_event_level(args.get("obs-level"));
-    if (recording) {
-      obs_path = args.get("obs-out");
-      obs_format = obs::event_format_from_path(obs_path);
-    }
+    if (recording)
+      obs::events().open(obs_path, obs::event_format_from_path(obs_path),
+                         obs_level);
   } catch (const InvalidArgument& e) {
     std::cerr << "error: " << e.what() << "\n" << args.usage();
     return 2;
   }
-  if (recording) obs::events().open(obs_path, obs_format, obs_level);
   // Replay needs the per-slot detail stream.
   const bool verifying = recording &&
                          obs_level >= obs::EventLevel::kDetail &&

@@ -19,12 +19,12 @@
 //                must still match the baseline bit-for-bit, proving a
 //                /metrics scraper cannot perturb a deterministic run.
 //   recorder     the same run again with the flight recorder at detail
-//                level, once per sink format (JSONL, BTRC, BTRC+LZ):
-//                write throughput, on-disk bytes, and full read-back
-//                throughput.  Emits BENCH_trace.json with the headline
-//                BTRC-vs-JSONL size reduction and read speedup; skipped
-//                (with a stub JSON) under -DBURSTQ_NO_OBS since a
-//                stripped build records no events.
+//                level, plain BTRC and BTRC+LZ: write throughput,
+//                on-disk bytes, and full read-back throughput.  Emits
+//                BENCH_trace.json (the bytes and the event count are
+//                deterministic and gated); skipped (with a stub JSON)
+//                under -DBURSTQ_NO_OBS since a stripped build records no
+//                events.
 //
 // CI builds this twice (default and -DBURSTQ_NO_OBS=ON) and compares the
 // two BENCH_obs.json files: the instrumented slot loop must stay within
@@ -51,7 +51,6 @@
 #include "bench_common.h"
 #include "common/args.h"
 #include "obs/event_log.h"
-#include "obs/jsonl.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
 #include "obs/prometheus.h"
@@ -345,8 +344,8 @@ int main(int argc, char** argv) {
   }
   std::cout << "\nwrote " << json_path << "\n";
 
-  // ---- flight recorder formats: JSONL vs BTRC on a detail trace ------
-  banner("flight recorder formats (detail trace, " + std::to_string(slots) +
+  // ---- flight recorder: plain vs LZ BTRC on a detail trace -----------
+  banner("flight recorder (detail trace, " + std::to_string(slots) +
          " slots)");
   const std::string trace_json_path =
       burstq::bench::out_dir() + "/BENCH_trace.json";
@@ -370,7 +369,6 @@ int main(int argc, char** argv) {
       std::size_t events{0};
     };
     std::vector<FormatResult> fmts{
-        {"jsonl", burstq::bench::out_dir() + "/trace_bench.jsonl", false},
         {"btrc", burstq::bench::out_dir() + "/trace_bench.btrc", false},
         {"btrc+lz", burstq::bench::out_dir() + "/trace_bench_lz.btrc",
          true}};
@@ -395,18 +393,11 @@ int main(int argc, char** argv) {
       f.read_s = std::numeric_limits<double>::infinity();
       for (int rep = 0; rep < 5; ++rep) {
         const double s =
-            time_s([&] { readback = obs::read_events_auto(f.path); });
+            time_s([&] { readback = obs::read_events_btrc(f.path); });
         f.read_s = std::min(f.read_s, s);
       }
       f.events = readback.size();
     }
-    const FormatResult& jsonl = fmts[0];
-    const FormatResult& btrc = fmts[1];
-    const double size_reduction =
-        1.0 - static_cast<double>(btrc.bytes) /
-                  static_cast<double>(jsonl.bytes);
-    const double read_speedup = jsonl.read_s / btrc.read_s;
-
     ConsoleTable trace_table(
         {"format", "bytes", "write s", "read s", "read Mev/s"});
     for (const auto& f : fmts)
@@ -415,17 +406,14 @@ int main(int argc, char** argv) {
            ConsoleTable::num(f.read_s, 3),
            ConsoleTable::num(static_cast<double>(f.events) / f.read_s / 1e6,
                              2)});
-    trace_table.set_title(
-        "btrc vs jsonl: " +
-        ConsoleTable::num(size_reduction * 100.0, 1) + "% smaller, " +
-        ConsoleTable::num(read_speedup, 1) + "x read speedup (" +
-        std::to_string(jsonl.events) + " events)");
+    trace_table.set_title("BTRC, plain and LZ (" +
+                          std::to_string(fmts[0].events) + " events)");
     trace_table.print(std::cout);
 
     std::ofstream json(trace_json_path);
     json << "{\n  \"bench\": \"obs_overhead.trace\",\n"
          << "  \"obs_enabled\": true,\n  \"slots\": " << slots
-         << ",\n  \"events\": " << jsonl.events << ",\n  \"formats\": {\n";
+         << ",\n  \"events\": " << fmts[0].events << ",\n  \"formats\": {\n";
     for (std::size_t i = 0; i < fmts.size(); ++i) {
       const auto& f = fmts[i];
       json << "    \"" << f.name << "\": {\n"
@@ -436,8 +424,7 @@ int main(int argc, char** argv) {
            << static_cast<double>(f.events) / f.read_s << "\n    }"
            << (i + 1 < fmts.size() ? "," : "") << "\n";
     }
-    json << "  },\n  \"btrc_size_reduction\": " << size_reduction
-         << ",\n  \"btrc_read_speedup\": " << read_speedup << "\n}\n";
+    json << "  }\n}\n";
     std::cout << "wrote " << trace_json_path << "\n";
   }
 

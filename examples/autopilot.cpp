@@ -34,8 +34,8 @@ int main(int argc, char** argv) {
 
   ArgParser args("autopilot", "24h closed-loop operation demo");
   args.add_option("obs-out",
-                  "record a structured event log here (.jsonl, or .btrc "
-                  "for binary columnar)");
+                  "record a structured event log here (.btrc, the binary "
+                  "columnar format)");
   args.add_option("obs-level", "event level: off | decisions | detail",
                   "decisions");
   args.add_flag("obs-summary", "print a metrics digest on exit");

@@ -7,7 +7,7 @@
 //   burstq_cli fit     --trace demands.csv
 //       estimate (p_on,p_off,rb,re) per VM from a demand trace;
 //       VM spec CSV on stdout (feed it back into `place`)
-//   burstq_cli replay  --log flight.jsonl|flight.btrc
+//   burstq_cli replay  --log flight.btrc
 //       re-derive CVR totals from a recorded flight log
 //   burstq_cli sim     --vms specs.csv [--slots N] [--fault-plan ...]
 //       place then run the dynamic cluster simulator, optionally with
@@ -16,10 +16,10 @@
 //   burstq_cli trace   <header|head|tail|tocsv|query|profile|flame>
 //       inspect and analyze a recorded flight log without a custom
 //       reader: header prints the BTRC schema, head/tail/tocsv print
-//       events as pipe-friendly id,kind,key,value CSV (from JSONL or
-//       BTRC); head/tail --at-offset N resolve a harness or `slo
-//       explain` trace pointer (read from byte N instead of the file
-//       start); query filters events with a small expression language
+//       events as pipe-friendly id,kind,key,value CSV; head/tail
+//       --at-event N resolve a harness or `slo explain` trace pointer
+//       (start at the trace's event N instead of its first event);
+//       query filters events with a small expression language
 //       ("kind=slot.obs, t>=57, t<=70"); profile reconstructs the
 //       sampled span tree (inclusive/exclusive time, per-slot critical
 //       paths); flame emits collapsed stacks for flamegraph.pl and,
@@ -27,7 +27,7 @@
 //   burstq_cli slo     explain --log FILE
 //       re-derive SLO breach episodes from a recorded trace (flight
 //       replay) and explain each one: window, dominant events/spans,
-//       top violating PMs, byte-offset trace pointers
+//       top violating PMs, trace pointers
 //   burstq_cli harness <run|list|report> ...
 //       the scenario + invariants harness ("physics CI"): run executes
 //       scenario files and writes per-invariant JSON reports plus
@@ -39,10 +39,9 @@
 //       tails), restore dry-runs a recovery and prints where it would
 //       resume, snapshot exports a verified snapshot blob to a file
 //
-// Subcommands that do real work accept --obs-out FILE (record a
-// structured event log as JSONL, or with a .btrc extension in the
-// binary columnar flight-recorder format; `trace tocsv` converts
-// either to long CSV),
+// Subcommands that do real work accept --obs-out FILE.btrc (record a
+// structured event log in the binary columnar flight-recorder format;
+// `trace tocsv` converts it to long CSV),
 // --obs-level off|decisions|detail, --obs-fsync (fsync the sink on
 // every flush), --obs-span-sample N (emit one span in N as
 // span.begin/span.end events; 0 = off), --obs-span-clock wall|virtual
@@ -115,13 +114,12 @@ int usage_all() {
 
 ArgParser& add_obs_options(ArgParser& args) {
   args.add_option("obs-out",
-                  "record a structured event log here (.jsonl, or .btrc "
-                  "for the binary columnar format; convert either to CSV "
-                  "with 'trace tocsv')");
+                  "record a structured event log here (.btrc, the binary "
+                  "columnar format; convert it to CSV with 'trace tocsv')");
   args.add_option("obs-level", "event level: off | decisions | detail",
                   "decisions");
   args.add_flag("obs-compress",
-                "LZ-compress BTRC blocks (.btrc sinks only)");
+                "LZ-compress BTRC blocks");
   args.add_flag("obs-fsync",
                 "fsync the event sink on every flush (durability for the "
                 "trace itself; counted as obs.trace.fsyncs)");
@@ -355,8 +353,8 @@ int cmd_analyze(int argc, const char* const* argv) {
 int cmd_replay(int argc, const char* const* argv) {
   ArgParser args("burstq_cli replay",
                  "re-derive CVR totals from a recorded flight log "
-                 "(JSONL or BTRC, recorded at --obs-level detail)");
-  args.add_option("log", "flight-recorder file (.jsonl or .btrc)");
+                 "(BTRC, recorded at --obs-level detail)");
+  args.add_option("log", "flight-recorder file (.btrc)");
   args.add_flag("per-pm", "also emit per-PM CVR CSV on stdout");
   args.add_option("slo-fast", "fast SLO window in slots", "10");
   args.add_option("slo-slow", "slow SLO window in slots", "120");
@@ -467,12 +465,13 @@ int cmd_trace(int argc, const char* const* argv) {
                  "the BTRC schema, head/tail/tocsv/query emit "
                  "id,kind,key,value CSV, profile/flame aggregate span "
                  "events");
-  args.add_option("log", "recorded flight log (.btrc or .jsonl)");
+  args.add_option("log", "recorded flight log (.btrc)");
   args.add_option("n", "events for head/tail", "10");
   args.add_alias('n', "n");
-  args.add_option("at-offset",
-                  "head/tail: start at this byte offset (a harness report "
-                  "trace_pointer; BTRC block boundary or JSONL line start)");
+  args.add_option("at-event",
+                  "head/tail: start at this 0-based event index (the "
+                  "event_index of a harness report trace_pointer or an "
+                  "`slo explain` pointer line)");
   args.add_option("where",
                   "query: filter expression, comma = AND; clauses "
                   "key<op>value with op in = != < <= > >=; 'kind' matches "
@@ -507,16 +506,9 @@ int cmd_trace(int argc, const char* const* argv) {
   const auto n = static_cast<std::size_t>(args.get_int("n"));
   // Sniff before any output, so a missing or refused log leaves stdout
   // empty rather than a lone CSV header beside the error.
-  const obs::EventFormat format = obs::sniff_event_format(path);
+  obs::sniff_event_format(path);
 
   if (verb == "header") {
-    if (format != obs::EventFormat::kBinary) {
-      std::cerr << "error: " << path << " is "
-                << obs::format_name(format)
-                << ", not BTRC; 'trace header' reads the binary schema "
-                   "(use head/tocsv for text logs)\n";
-      return 1;
-    }
     const obs::TraceFileInfo info = obs::read_trace_info(path);
     std::cout << "version=" << static_cast<int>(info.version) << "\n"
               << "compressed=" << (info.compressed ? "true" : "false")
@@ -582,70 +574,36 @@ int cmd_trace(int argc, const char* const* argv) {
     return 0;
   }
 
-  std::cout << "id,kind,key,value\n";
   if (verb == "tocsv") {
-    print_events_csv(std::cout, obs::read_events_auto(path), 0);
+    const auto events = obs::read_events_btrc(path);
+    std::cout << "id,kind,key,value\n";
+    print_events_csv(std::cout, events, 0);
     return 0;
   }
+  // head/tail --at-event resolve a trace pointer: the events from that
+  // index on, with ids relative to it (id 0 is the pointed-at event).
+  const long long at_event = args.has("at-event") ? args.get_int("at-event")
+                                                  : 0;
+  BURSTQ_REQUIRE(at_event >= 0, "--at-event must be >= 0");
+  const auto first = static_cast<std::uint64_t>(at_event);
   if (verb == "head") {
-    if (args.has("at-offset")) {
-      // Resolve a harness trace pointer: decode n events starting at
-      // the recorded byte offset.  Ids are relative to the offset.
-      const auto offset =
-          static_cast<std::uint64_t>(args.get_int("at-offset"));
-      print_events_csv(std::cout,
-                       obs::read_events_at_offset(path, offset, n), 0);
-      return 0;
-    }
-    // Pull blocks only until enough events arrived, so head of a huge
-    // trace stays cheap.
-    if (format == obs::EventFormat::kBinary) {
-      obs::TraceReader reader(path);
-      std::vector<obs::RecordedEvent> events;
-      while (events.size() < n && reader.next_block(events)) {
-      }
-      if (events.size() > n) events.resize(n);
-      print_events_csv(std::cout, events, 0);
-    } else {
-      auto events = obs::read_events_auto(path);
-      if (events.size() > n) events.resize(n);
-      print_events_csv(std::cout, events, 0);
-    }
+    const auto events = obs::read_events_from(path, first, n);
+    std::cout << "id,kind,key,value\n";
+    print_events_csv(std::cout, events, 0);
     return 0;
   }
   // tail: stream blocks, keeping a bounded window of the last n events.
-  if (args.has("at-offset")) {
-    // Last n events at-or-after the pointer; ids are relative to the
-    // offset (parity with head --at-offset).
-    const auto offset =
-        static_cast<std::uint64_t>(args.get_int("at-offset"));
-    std::vector<obs::RecordedEvent> events = obs::read_events_at_offset(
-        path, offset, std::numeric_limits<std::size_t>::max());
-    const std::uint64_t total_after = events.size();
-    if (events.size() > n)
-      events.erase(events.begin(),
-                   events.end() - static_cast<std::ptrdiff_t>(n));
-    print_events_csv(std::cout, events, total_after - events.size());
-    return 0;
-  }
+  obs::TraceReader reader(path);
+  reader.skip_events_before(first);
   std::vector<obs::RecordedEvent> window;
-  std::uint64_t total = 0;
-  if (format == obs::EventFormat::kBinary) {
-    obs::TraceReader reader(path);
-    while (reader.next_block(window)) {
-      if (window.size() > n)
-        window.erase(window.begin(),
-                     window.end() - static_cast<std::ptrdiff_t>(n));
-    }
-    total = reader.info().events;
-  } else {
-    window = obs::read_events_auto(path);
-    total = window.size();
+  while (reader.next_block(window)) {
     if (window.size() > n)
       window.erase(window.begin(),
                    window.end() - static_cast<std::ptrdiff_t>(n));
   }
-  print_events_csv(std::cout, window, total - window.size());
+  std::cout << "id,kind,key,value\n";
+  print_events_csv(std::cout, window,
+                   reader.info().events - first - window.size());
   return 0;
 }
 
@@ -656,7 +614,7 @@ int cmd_slo(int argc, const char* const* argv) {
                  "re-derive SLO breach episodes from a recorded flight "
                  "log and explain each one (dominant events/spans, top "
                  "violating PMs, trace pointers)");
-  args.add_option("log", "recorded flight log (.btrc or .jsonl)");
+  args.add_option("log", "recorded flight log (.btrc)");
   args.add_option("slo-fast", "fast burn-rate window in slots", "10");
   args.add_option("slo-slow", "slow burn-rate window in slots", "120");
   args.add_option("slo-burn",
@@ -665,7 +623,7 @@ int cmd_slo(int argc, const char* const* argv) {
   args.add_option("top", "events/spans/PMs listed per episode", "8");
   args.add_flag("no-pointers",
                 "omit 'pointer trace_offset=' lines (reports become "
-                "comparable across trace formats)");
+                "comparable between plain and --obs-compress traces)");
   if (!known_verb) {
     std::cerr << "usage: burstq_cli slo explain --log FILE [--top N]\n";
     return 1;
@@ -1110,7 +1068,6 @@ int cmd_harness(int argc, const char* const* argv) {
                   "directory of inputs (run/list: *.scn; report: "
                   "*.report.json)");
   args.add_option("out", "output directory for reports and traces", ".");
-  args.add_option("trace-format", "trace sink: jsonl | btrc", "jsonl");
   args.add_flag("compress", "LZ-compress BTRC trace blocks");
   args.add_flag("catalog", "list: print the invariant catalog instead");
   args.add_option("report", "one report file (report verb)");
@@ -1175,15 +1132,6 @@ int cmd_harness(int argc, const char* const* argv) {
   }
   harness::HarnessOptions opt;
   opt.out_dir = args.get("out");
-  const std::string tf = args.get("trace-format");
-  if (tf == "btrc") {
-    opt.trace_format = obs::EventFormat::kBinary;
-  } else if (tf == "jsonl") {
-    opt.trace_format = obs::EventFormat::kJsonl;
-  } else {
-    throw InvalidArgument("unknown --trace-format '" + tf +
-                          "' (jsonl | btrc)");
-  }
   opt.compress = args.flag("compress");
   if (!std::filesystem::is_directory(opt.out_dir))
     throw InvalidArgument("--out " + opt.out_dir +

@@ -53,7 +53,7 @@ _PATH_TOKEN = re.compile(r"([^.\[\]]+)|\[(\d+)\]")
 
 
 def lookup(doc, path):
-    """Resolves a dotted path with [i] list indices ("formats.jsonl.bytes",
+    """Resolves a dotted path with [i] list indices ("formats.btrc.bytes",
     "drivers[2].seconds").  Returns None when any step is missing."""
     cur = doc
     for m in _PATH_TOKEN.finditer(path):

@@ -3,7 +3,7 @@
 //   burstq_fuzz --seed 1 --instances 1000          # the default sweep
 //   burstq_fuzz --oracles stationary,cache         # subset of oracles
 //   burstq_fuzz --replay 0x1b873593deadbeef        # one case, by seed
-//   burstq_fuzz --obs-out fuzz.jsonl               # machine-readable log
+//   burstq_fuzz --obs-out fuzz.btrc                # machine-readable log
 //
 // Exit status 0 when every oracle agrees on every case, 1 on any
 // discrepancy (each printed with its replayable case seed), 2 on usage
@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
                   "instead of a sweep");
   args.add_option("obs-out",
                   "record fuzz.discrepancy/fuzz.summary events here "
-                  "(.jsonl; .csv selects CSV, .btrc binary columnar)");
+                  "(.btrc; convert with 'burstq_cli trace tocsv')");
   args.add_option("obs-level", "event level: off | decisions | detail",
                   "decisions");
   if (!args.parse(argc, argv)) {

@@ -7,7 +7,7 @@
 // epsilon over fails.  Evaluation consumes the per-slot series the
 // runner collects through SimConfig::on_slot plus the final SimReport,
 // so verdicts never re-derive state from the trace — the trace pointer
-// in each result is for humans (and `burstq_cli trace head --at-offset`),
+// in each result is for humans (and `burstq_cli trace head --at-event`),
 // not for the verdict itself.
 
 #pragma once
@@ -54,11 +54,10 @@ struct InvariantInfo {
 /// All known invariants, in a stable presentation order.
 const std::vector<InvariantInfo>& invariant_catalog();
 
-/// Byte-offset pointer into the flight-recorder trace: where to start
-/// reading to see the violation unfold.  For BTRC traces `offset` is the
-/// boundary of the block containing the event; for JSONL it is the exact
-/// start of the event's line.  Either way
-/// `burstq_cli trace head --log FILE --at-offset OFFSET` resolves it.
+/// Pointer into the flight-recorder trace: where to start reading to see
+/// the violation unfold.  `burstq_cli trace head --log FILE --at-event
+/// EVENT_INDEX` resolves it exactly; `offset` is the byte boundary of
+/// the BTRC block that holds the event.
 struct TracePointer {
   std::uint64_t offset{0};
   std::uint64_t event_index{0};  ///< 0-based index in the event stream

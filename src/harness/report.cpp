@@ -8,7 +8,6 @@
 
 #include "common/csv.h"
 #include "common/error.h"
-#include "obs/event_log.h"  // json_escape
 
 namespace burstq::harness {
 
@@ -23,9 +22,35 @@ bool ScenarioReport::all_pass() const {
 
 namespace {
 
+/// Escapes a string for inclusion in a JSON string literal (no quotes
+/// added): quotes, backslashes and control bytes.
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          constexpr char hex[] = "0123456789abcdef";
+          out += "\\u00";
+          out += hex[(static_cast<unsigned char>(c) >> 4) & 0xF];
+          out += hex[static_cast<unsigned char>(c) & 0xF];
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
 void append_quoted(std::string& out, std::string_view s) {
   out += '"';
-  out += obs::json_escape(s);
+  out += json_escape(s);
   out += '"';
 }
 
@@ -102,8 +127,7 @@ void write_report(const ScenarioReport& report, const std::string& path) {
 //
 // A minimal recursive-descent JSON parser, just enough for the report
 // schema (objects, arrays, strings, doubles, bools, null).  Deliberately
-// local: burstq has no general JSON dependency and the flat-event parser
-// in obs/jsonl.h cannot read nested documents.
+// local: burstq has no general JSON dependency.
 
 namespace {
 

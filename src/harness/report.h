@@ -15,7 +15,7 @@
 //     "seed": 42, "slots": 200, "slots_completed": 200,
 //     "status": "pass" | "fail" | "abort",
 //     "abort_reason": "...",                      // abort only
-//     "trace": {"file": "flash_crowd.jsonl", "format": "jsonl",
+//     "trace": {"file": "flash_crowd.trace.btrc", "format": "btrc",
 //               "events": 412},
 //     "invariants": [
 //       {"name": "cluster_cvr", "op": "<=", "threshold": 0.02,
@@ -26,8 +26,9 @@
 //     ]
 //   }
 //
-// `trace_pointer.offset` resolves with
-// `burstq_cli trace head --log TRACE --at-offset OFFSET`.
+// `trace_pointer.event_index` resolves with
+// `burstq_cli trace head --log TRACE --at-event EVENT_INDEX`;
+// `offset` is the byte offset of the BTRC block holding that event.
 
 #pragma once
 
@@ -52,7 +53,7 @@ struct ScenarioReport {
   std::string status;              ///< "pass" | "fail" | "abort"
   std::string abort_reason;        ///< empty unless status == "abort"
   std::string trace_file;          ///< basename, next to the report
-  std::string trace_format;        ///< "jsonl" | "btrc"
+  std::string trace_format;        ///< "btrc"
   std::uint64_t trace_events{0};   ///< events finalized into the trace
   std::vector<InvariantResult> invariants;
 

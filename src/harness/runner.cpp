@@ -9,7 +9,6 @@
 
 #include "common/error.h"
 #include "durable/durable.h"
-#include "obs/jsonl.h"
 #include "obs/obs.h"
 #include "obs/query.h"
 #include "obs/slo.h"
@@ -41,11 +40,11 @@ PlacementResult place_fleet(const Scenario& sc,
   throw InvalidArgument("unknown strategy: " + sc.strategy);
 }
 
-/// Streams the finalized trace once (obs::scan_events — JSONL
-/// line-by-line, BTRC block-by-block): resolves a TracePointer for
-/// every slot in `targets` (the first slot.obs event at that `t`; BTRC
-/// pointers use the containing block's boundary so `trace head
-/// --at-offset` can start decoding there) and counts the total events.
+/// Streams the finalized trace once (obs::scan_events, block by block):
+/// resolves a TracePointer for every slot in `targets` (the first
+/// slot.obs event at that `t`: its event index, which `trace head
+/// --at-event` resolves, and its containing block's boundary) and
+/// counts the total events.
 std::uint64_t scan_trace(const std::string& path,
                          std::map<std::size_t, TracePointer>& targets) {
   return obs::scan_events(
@@ -66,10 +65,8 @@ std::uint64_t scan_trace(const std::string& path,
 RunSummary run_scenario(const Scenario& sc, const HarnessOptions& opt) {
   sc.validate();
   RunSummary out;
-  const std::string trace_ext =
-      opt.trace_format == obs::EventFormat::kBinary ? ".trace.btrc"
-                                                    : ".trace.jsonl";
-  out.trace_path = opt.out_dir + "/" + sc.name + trace_ext;
+  const std::string trace_file = sc.name + ".trace.btrc";
+  out.trace_path = opt.out_dir + "/" + trace_file;
   out.report_path = opt.out_dir + "/" + sc.name + ".report.json";
 
   ScenarioReport& report = out.report;
@@ -78,13 +75,13 @@ RunSummary run_scenario(const Scenario& sc, const HarnessOptions& opt) {
   report.slots = sc.slots;
   // Reports reference the trace by basename so two same-seed runs are
   // byte-identical regardless of where --out points.
-  report.trace_file = sc.name + trace_ext;
+  report.trace_file = trace_file;
   report.trace_format =
-      std::string(obs::format_name(opt.trace_format));
+      std::string(obs::format_name(obs::EventFormat::kBinary));
 
   // The trace must exist (and later: be finalized) no matter how the run
   // ends; open it before anything that can throw.
-  obs::events().open(out.trace_path, opt.trace_format,
+  obs::events().open(out.trace_path, obs::EventFormat::kBinary,
                      obs::EventLevel::kDetail, opt.compress);
   obs::events().set_run_label("harness/" + sc.name);
 

@@ -10,8 +10,7 @@
 // Abort safety: when the run dies mid-flight (a BURSTQ_REQUIRE tripping
 // inside the simulator, a placement that cannot complete), the runner
 // catches the exception, CLOSES the event log so the partial trace is
-// flushed and finalized (BTRC gets its last block; JSONL its last
-// lines), evaluates the invariants over the slots that did complete, and
+// flushed and finalized (the BTRC trace gets its last block), evaluates the invariants over the slots that did complete, and
 // writes a status="abort" report whose trace pointers still resolve.
 // A crash must never leave a truncated trace and no report.
 
@@ -27,8 +26,7 @@ namespace burstq::harness {
 
 struct HarnessOptions {
   std::string out_dir{"."};  ///< reports and traces land here
-  obs::EventFormat trace_format{obs::EventFormat::kJsonl};
-  bool compress{false};  ///< LZ-compress BTRC blocks (kBinary only)
+  bool compress{false};      ///< LZ-compress the trace's BTRC blocks
 };
 
 struct RunSummary {
@@ -40,7 +38,7 @@ struct RunSummary {
 /// Runs one scenario end to end: places the fleet, simulates, evaluates
 /// every declared invariant, scans the finalized trace for violation
 /// pointers, and writes `<out_dir>/<name>.report.json` next to
-/// `<out_dir>/<name>.trace.<fmt>`.
+/// `<out_dir>/<name>.trace.btrc`.
 ///
 /// Owns the global event log for the duration of the call (it reopens
 /// obs::events() onto the scenario's trace file at detail level and

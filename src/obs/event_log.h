@@ -1,12 +1,11 @@
 // Structured event log — the write side of the flight recorder.
 //
 // Events are append-only records (a kind plus flat key/value fields)
-// streamed to one file as JSONL (one JSON object per line) or BTRC (the
-// binary columnar format, obs/trace.h).  Both are typed and replayable;
-// `burstq_cli trace tocsv` renders either as long CSV for spreadsheets.
+// streamed to one BTRC file (the binary columnar format, obs/trace.h);
+// `burstq_cli trace tocsv` renders a trace as long CSV for spreadsheets.
 // Emission is gated twice: a cheap atomic level check first (so a closed
 // or coarse log costs one relaxed load per call site), then a mutex only
-// when a line is actually written.  Events carry no wall-clock
+// when an event is actually written.  Events carry no wall-clock
 // timestamps: a recorded run replays deterministically and diffs cleanly
 // across machines; wall time lives in the metrics registry instead.
 
@@ -14,7 +13,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <fstream>
 #include <initializer_list>
 #include <memory>
 #include <mutex>
@@ -32,18 +30,18 @@ class TraceWriter;
 /// per-slot observations — everything replay needs to re-derive CVR.
 enum class EventLevel : int { kOff = 0, kDecisions = 1, kDetail = 2 };
 
-/// kJsonl is the text sink; kBinary is the BTRC columnar flight-recorder
-/// format (obs/trace.h) — same event stream, ~5x smaller and an order of
-/// magnitude faster to read back.
-enum class EventFormat { kJsonl, kBinary };
+/// The sink format.  BTRC (obs/trace.h) is the only one; the enum and
+/// EventLog::open's format argument remain because the end-to-end
+/// benchmark driver (perfbench/src/sim.cpp) names them, and can go when
+/// that driver changes.
+enum class EventFormat { kBinary };
 
-/// Canonical short name for a sink format: "jsonl" | "btrc".
+/// Canonical short name for a sink format: "btrc".
 std::string_view format_name(EventFormat format) noexcept;
 
-/// Picks the sink format from a path's extension: `.btrc` -> kBinary,
-/// anything else -> kJsonl.  Throws InvalidArgument for a `.csv` path:
-/// there is no CSV sink (record .jsonl or .btrc and convert with
-/// `burstq_cli trace tocsv`).
+/// Checks a sink path: a `.btrc` path gives kBinary.  Throws
+/// InvalidArgument for any other path (`.jsonl`, `.csv`, ...): there is
+/// only the BTRC sink, and `burstq_cli trace tocsv` converts it to text.
 EventFormat event_format_from_path(std::string_view path);
 
 /// Parses "off" | "decisions" | "detail" (or "0" | "1" | "2");
@@ -98,7 +96,7 @@ class EventLog {
   /// Opens `path` for writing (truncating) and starts accepting events at
   /// or below `level`.  Throws InvalidArgument when the file cannot be
   /// opened.  Reopening closes the previous sink.  `compress` enables
-  /// per-block LZ compression and only applies to kBinary.
+  /// per-block LZ compression.
   void open(const std::string& path, EventFormat format,
             EventLevel level = EventLevel::kDetail, bool compress = false);
 
@@ -126,9 +124,9 @@ class EventLog {
   void set_run_label(std::string label);
   [[nodiscard]] std::string run_label() const;
 
-  /// Short name of the most recently opened sink format ("jsonl" or
-  /// "btrc"), or "none" before the first open.  Sticky across close() so
-  /// post-run artifact writers (bench obs summaries) can label output.
+  /// Short name of the most recently opened sink format ("btrc"), or
+  /// "none" before the first open.  Sticky across close() so post-run
+  /// artifact writers (bench obs summaries) can label output.
   [[nodiscard]] std::string sink_format_name() const;
 
   /// fsync() the sink file on every flush()/close() (the --obs-fsync
@@ -139,15 +137,13 @@ class EventLog {
 
   /// A durable rewind point in the open sink: everything the log has
   /// flushed so far.  Captured by checkpoint() (which flushes first, so
-  /// `bytes` is a clean boundary — for BTRC, a block boundary), consumed
-  /// by rewind().
+  /// `bytes` is a block boundary), consumed by rewind().
   struct Checkpoint {
     bool valid{false};  ///< false when no sink was open — rewind no-ops
-    EventFormat format{EventFormat::kJsonl};
     std::string path;
     std::uint64_t bytes{0};
     std::uint64_t events{0};
-    std::uint64_t blocks{0};  ///< BTRC only
+    std::uint64_t blocks{0};
   };
 
   [[nodiscard]] Checkpoint checkpoint();
@@ -157,7 +153,7 @@ class EventLog {
   /// they never happened.  This is how a durable restore discards the
   /// killed run's partial tail while keeping one continuous, eventually
   /// byte-identical trace.  No-op when `cp.valid` is false; requires the
-  /// same sink (path and format) to still be open otherwise.
+  /// same sink to still be open otherwise.
   void rewind(const Checkpoint& cp);
 
  private:
@@ -165,9 +161,7 @@ class EventLog {
   void fsync_locked();
 
   mutable std::mutex mu_;
-  std::ofstream out_;
-  std::unique_ptr<TraceWriter> writer_;  // the kBinary sink
-  EventFormat format_{EventFormat::kJsonl};
+  std::unique_ptr<TraceWriter> writer_;  // null while closed
   std::atomic<int> level_{static_cast<int>(EventLevel::kOff)};
   std::atomic<std::uint64_t> written_{0};
   std::string run_label_;
@@ -186,9 +180,5 @@ class EventLog {
 
 /// Process-wide event log used by the BURSTQ_EVENT macro.
 EventLog& events();
-
-/// Escapes a string for inclusion in a JSON string literal (no quotes
-/// added).  Exposed for tests.
-std::string json_escape(std::string_view s);
 
 }  // namespace burstq::obs

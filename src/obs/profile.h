@@ -28,7 +28,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "obs/jsonl.h"
+#include "obs/trace.h"
 
 namespace burstq::obs {
 

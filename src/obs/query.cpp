@@ -1,7 +1,7 @@
 #include "obs/query.h"
 
+#include <cstdio>
 #include <cstdlib>
-#include <fstream>
 
 #include "common/error.h"
 #include "obs/trace.h"
@@ -40,8 +40,7 @@ bool compare(double lhs, double rhs, QueryOp op) {
   return false;
 }
 
-/// Text rendering used for string comparison (mirrors how the JSONL
-/// writer would have printed the value).
+/// Text rendering used for string comparison.
 std::string value_text(const EventValue& v) {
   switch (v.tag) {
     case EventValue::Tag::kString: return v.str;
@@ -141,33 +140,16 @@ bool Query::matches(const RecordedEvent& ev) const {
 }
 
 std::uint64_t scan_events(const std::string& path, const EventScanFn& fn) {
+  TraceReader reader(path);
+  std::vector<RecordedEvent> block;
   std::uint64_t total = 0;
-  if (sniff_event_format(path) == EventFormat::kBinary) {
-    TraceReader reader(path);
-    std::vector<RecordedEvent> block;
-    while (true) {
-      const std::uint64_t block_start = reader.valid_offset();
-      block.clear();
-      if (!reader.next_block(block)) break;
-      for (std::size_t i = 0; i < block.size(); ++i)
-        if (!fn(block[i], block_start, total + i)) return total + i + 1;
-      total += block.size();
-    }
-    return total;
-  }
-
-  std::ifstream in(path, std::ios::in | std::ios::binary);
-  BURSTQ_REQUIRE(in.is_open(), "cannot open trace file: " + path);
-  std::string line;
-  std::uint64_t offset = 0;
-  while (std::getline(in, line)) {
-    const std::uint64_t line_start = offset;
-    offset += line.size() + 1;  // getline consumed the newline
-    std::string error;
-    const auto ev = parse_event_line(line, &error);
-    if (!ev) continue;  // blank or foreign line
-    if (!fn(*ev, line_start, total)) return total + 1;
-    ++total;
+  while (true) {
+    const std::uint64_t block_start = reader.valid_offset();
+    block.clear();
+    if (!reader.next_block(block)) break;
+    for (std::size_t i = 0; i < block.size(); ++i)
+      if (!fn(block[i], block_start, total + i)) return total + i + 1;
+    total += block.size();
   }
   return total;
 }

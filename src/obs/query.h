@@ -17,10 +17,10 @@
 //
 // scan_events() is the one streaming walk over a recorded trace shared
 // by the query CLI, the profiler (obs/profile.h), `slo explain`, and
-// the harness invariant runner: JSONL line-by-line, BTRC block-by-block
-// (never the whole file in memory), each event delivered with the
-// byte-offset pointer `trace head|tail --at-offset` can resolve — the
-// start of its JSONL line, or its containing BTRC block's boundary.
+// the harness invariant runner: block by block (never the whole file in
+// memory), each event delivered with its global index — the pointer
+// `trace head|tail --at-event` resolves — and its containing block's
+// byte offset.
 
 #pragma once
 
@@ -30,7 +30,7 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/jsonl.h"
+#include "obs/trace.h"
 
 namespace burstq::obs {
 
@@ -62,11 +62,10 @@ struct Query {
 using EventScanFn =
     std::function<bool(const RecordedEvent&, std::uint64_t, std::uint64_t)>;
 
-/// Streams a recorded trace in whatever format it actually is, calling
-/// `fn` once per event in file order.  Offsets are resolvable pointers
-/// for JSONL (line start) and BTRC (containing block's boundary).
+/// Streams a recorded BTRC trace, calling `fn` once per event in file
+/// order with its containing block's byte offset and its global index.
 /// Returns the number of events visited.  Throws InvalidArgument on
-/// unreadable or corrupt input.
+/// unreadable, corrupt or non-BTRC input.
 std::uint64_t scan_events(const std::string& path, const EventScanFn& fn);
 
 }  // namespace burstq::obs

@@ -1,14 +1,15 @@
-// BTRC — the binary columnar flight-recorder format.
+// BTRC — the binary columnar flight-recorder format, and the only
+// format the event log writes and its readers accept.
 //
-// The JSONL event sink (obs/event_log.h) spends most of their bytes
-// repeating key names and most of their read time in strtod; at
-// million-VM, multi-simulated-day scale the recorder becomes the I/O
-// bottleneck.  BTRC stores the same event stream columnar: events are
-// grouped by kind inside fixed-size blocks, each field becomes a typed
-// column (delta+varint integers, bit-packed bools, raw IEEE-754 doubles,
-// per-block dictionaries for repeated strings), and a run-length order
-// stream preserves the exact global event interleaving so a BTRC trace
-// replays bit-identically to the JSONL recording of the same run.
+// A text event log spends most of its bytes repeating key names and most
+// of its read time in strtod; at million-VM, multi-simulated-day scale
+// the recorder becomes the I/O bottleneck.  BTRC stores the event stream
+// columnar: events are grouped by kind inside fixed-size blocks, each
+// field becomes a typed column (delta+varint integers, bit-packed bools,
+// raw IEEE-754 doubles, per-block dictionaries for repeated strings),
+// and a run-length order stream preserves the exact global event
+// interleaving, so a replay sees the events in emission order with the
+// emitted values bit for bit.
 //
 // The schema is self-describing: kind and column names travel in schema
 // blocks ahead of the first data block that uses them, so any BTRC file
@@ -28,18 +29,176 @@
 #include <cstdint>
 #include <fstream>
 #include <initializer_list>
+#include <new>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 #include "obs/event_log.h"
-#include "obs/jsonl.h"
 
 namespace burstq::obs {
 
 inline constexpr std::string_view kTraceMagic = "BTRC";
 inline constexpr std::uint8_t kTraceVersion = 1;
+
+// ---- decoded events ----------------------------------------------------
+
+/// One decoded field value.  Members are ordered so the two one-byte
+/// discriminants pack into the same word (48 bytes instead of 56 —
+/// readers materialise millions of these).
+struct EventValue {
+  enum class Tag : std::uint8_t { kNumber, kString, kBool, kNull };
+  double num{0.0};
+  std::string str;
+  Tag tag{Tag::kNull};
+  bool b{false};
+};
+
+/// Small-vector of (key, value) pairs backing RecordedEvent::fields:
+/// contiguous storage with inline capacity for the common case (no
+/// recorder kind today carries more than five fields), spilling to the
+/// heap beyond that.  The readers construct one RecordedEvent per trace
+/// event, so skipping the per-event heap allocation is what keeps
+/// replay decode-bound rather than allocator-bound.  Deliberately
+/// minimal: just the vector surface the readers, replay, and trace
+/// tools use.
+class FieldVec {
+ public:
+  using value_type = std::pair<std::string, EventValue>;
+  using iterator = value_type*;
+  using const_iterator = const value_type*;
+
+  FieldVec() noexcept : data_(inline_data()) {}
+  FieldVec(const FieldVec& other) : FieldVec() {
+    reserve(other.size_);
+    for (const value_type& v : other) emplace_back(v.first, v.second);
+  }
+  FieldVec(FieldVec&& other) noexcept : FieldVec() { take(other); }
+  FieldVec& operator=(const FieldVec& other) {
+    if (this != &other) {
+      clear();
+      reserve(other.size_);
+      for (const value_type& v : other) emplace_back(v.first, v.second);
+    }
+    return *this;
+  }
+  FieldVec& operator=(FieldVec&& other) noexcept {
+    if (this != &other) {
+      release();
+      take(other);
+    }
+    return *this;
+  }
+  ~FieldVec() { release(); }
+
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  [[nodiscard]] iterator begin() noexcept { return data_; }
+  [[nodiscard]] iterator end() noexcept { return data_ + size_; }
+  [[nodiscard]] const_iterator begin() const noexcept { return data_; }
+  [[nodiscard]] const_iterator end() const noexcept { return data_ + size_; }
+  [[nodiscard]] value_type& operator[](std::size_t i) { return data_[i]; }
+  [[nodiscard]] const value_type& operator[](std::size_t i) const {
+    return data_[i];
+  }
+  [[nodiscard]] value_type& back() { return data_[size_ - 1]; }
+
+  void reserve(std::size_t n) {
+    if (n > cap_) grow(n);
+  }
+
+  template <typename... Args>
+  value_type& emplace_back(Args&&... args) {
+    if (size_ == cap_) grow(cap_ * 2);
+    value_type* slot = ::new (static_cast<void*>(data_ + size_))
+        value_type(std::forward<Args>(args)...);
+    ++size_;
+    return *slot;
+  }
+
+  void clear() noexcept {
+    for (std::size_t i = size_; i > 0; --i) data_[i - 1].~value_type();
+    size_ = 0;
+  }
+
+ private:
+  static constexpr std::size_t kInlineCapacity = 2;
+
+  [[nodiscard]] value_type* inline_data() noexcept {
+    return reinterpret_cast<value_type*>(inline_);
+  }
+  [[nodiscard]] bool spilled() const noexcept {
+    return data_ != reinterpret_cast<const value_type*>(inline_);
+  }
+
+  // Leaves `other` empty-and-inline; assumes *this* is empty-and-inline.
+  void take(FieldVec& other) noexcept {
+    if (other.spilled()) {
+      data_ = other.data_;
+      cap_ = other.cap_;
+      size_ = other.size_;
+      other.data_ = other.inline_data();
+      other.cap_ = kInlineCapacity;
+      other.size_ = 0;
+    } else {
+      for (std::size_t i = 0; i < other.size_; ++i)
+        ::new (static_cast<void*>(data_ + i))
+            value_type(std::move(other.data_[i]));
+      size_ = other.size_;
+      other.clear();
+    }
+  }
+
+  void release() noexcept {
+    clear();
+    if (spilled()) {
+      ::operator delete(static_cast<void*>(data_));
+      data_ = inline_data();
+      cap_ = kInlineCapacity;
+    }
+  }
+
+  void grow(std::size_t n) {
+    const std::size_t new_cap = n > cap_ * 2 ? n : cap_ * 2;
+    auto* fresh = static_cast<value_type*>(
+        ::operator new(new_cap * sizeof(value_type)));
+    for (std::size_t i = 0; i < size_; ++i) {
+      ::new (static_cast<void*>(fresh + i)) value_type(std::move(data_[i]));
+      data_[i].~value_type();
+    }
+    if (spilled()) ::operator delete(static_cast<void*>(data_));
+    data_ = fresh;
+    cap_ = new_cap;
+  }
+
+  alignas(value_type) unsigned char inline_[kInlineCapacity *
+                                            sizeof(value_type)];
+  value_type* data_;
+  std::size_t size_{0};
+  std::size_t cap_{kInlineCapacity};
+};
+
+/// One decoded event: its kind and fields in recorded order.
+struct RecordedEvent {
+  std::string kind;
+  FieldVec fields;  // file order
+
+  [[nodiscard]] const EventValue* find(std::string_view key) const;
+  [[nodiscard]] bool has(std::string_view key) const {
+    return find(key) != nullptr;
+  }
+  /// Numeric field, or `fallback` when absent/non-numeric.
+  [[nodiscard]] double num(std::string_view key, double fallback = 0.0) const;
+  /// Numeric field rounded to integer.
+  [[nodiscard]] std::int64_t integer(std::string_view key,
+                                     std::int64_t fallback = 0) const;
+  /// String field, or "" when absent/non-string.
+  [[nodiscard]] std::string_view str(std::string_view key) const;
+  /// Boolean field, or `fallback` when absent/non-bool.
+  [[nodiscard]] bool boolean(std::string_view key, bool fallback = false)
+      const;
+};
 
 // ---- write side ------------------------------------------------------
 
@@ -145,9 +304,9 @@ struct TraceFileInfo {
 
 /// Streaming BTRC reader: one data block of events per pull, so `head`
 /// stops early and `tail` holds only a bounded window.  Throws
-/// InvalidArgument on a bad magic/version, on a CRC mismatch, and on
-/// truncation — the message names the offset where the last valid block
-/// ends.
+/// InvalidArgument on a file that is not BTRC (sniff_event_format), a
+/// bad version, a CRC mismatch, and on truncation — the message names
+/// the offset where the last valid block ends.
 class TraceReader {
  public:
   explicit TraceReader(const std::string& path);
@@ -157,6 +316,13 @@ class TraceReader {
   /// When `decode` is false the block is integrity-checked and counted
   /// in info() but its columns are not materialized (fast header scans).
   bool next_block(std::vector<RecordedEvent>& out, bool decode = true);
+
+  /// Makes next_block() drop every event whose 0-based global index is
+  /// below `n`: a block that ends before it is counted but not decoded,
+  /// and the block holding it appends only its events from `n` on.
+  /// Reaching the end of the file with fewer than `n` events throws
+  /// InvalidArgument (the pointer is past the end).
+  void skip_events_before(std::uint64_t n) { skip_before_ = n; }
 
   /// Schema and counts accumulated over the blocks read so far.
   [[nodiscard]] const TraceFileInfo& info() const { return info_; }
@@ -172,6 +338,7 @@ class TraceReader {
   TraceFileInfo info_;
   std::uint64_t offset_{0};        // bytes consumed so far
   std::uint64_t valid_offset_{0};  // end of the last validated block
+  std::uint64_t skip_before_{0};   // skip_events_before()
 };
 
 /// Reads a whole BTRC file.  Throws like TraceReader.
@@ -181,28 +348,24 @@ std::vector<RecordedEvent> read_events_btrc(const std::string& path);
 /// materializing events.  Throws like TraceReader.
 TraceFileInfo read_trace_info(const std::string& path);
 
-// ---- format dispatch -------------------------------------------------
+// ---- format check and pointers --------------------------------------
 
-/// Sniffs the on-disk format from content, not extension: the BTRC magic,
-/// else JSONL.  Throws InvalidArgument when the file cannot be opened, or
-/// when its first line is the long-CSV header `id,kind,key,value`: that
-/// string-typed dump (`burstq_cli trace tocsv`) is an export, not a trace.
-/// This is the one place every reader below refuses it.
+/// Checks that `path` holds a BTRC trace (by content, not extension) and
+/// returns EventFormat::kBinary.  This is the one place a reader refuses
+/// any other file — a JSONL log from an older build, the long-CSV dump
+/// `burstq_cli trace tocsv` prints — with an InvalidArgument that names
+/// .btrc and `trace tocsv`; TraceReader calls it first.  Also throws
+/// when the file cannot be opened.
 EventFormat sniff_event_format(const std::string& path);
 
-/// Reads a recorded event stream in whatever format the file actually is
-/// (JSONL or BTRC).
-std::vector<RecordedEvent> read_events_auto(const std::string& path);
-
-/// Resolves a trace pointer (as emitted in harness invariant reports):
-/// reads up to `max_events` events starting at byte `offset` of the
-/// trace.  For BTRC files the offset must be a block boundary — the
-/// start of a schema or data block, i.e. a value TraceReader reports as
-/// valid_offset(); for JSONL it must be the start of a line.  Throws
-/// InvalidArgument when the offset lands mid-block/mid-line or points past
-/// the end of the file.
-std::vector<RecordedEvent> read_events_at_offset(const std::string& path,
-                                                 std::uint64_t offset,
-                                                 std::size_t max_events);
+/// Resolves a trace pointer (as harness reports and `slo explain`
+/// print it): reads up to `max_events` events starting exactly at the
+/// 0-based global event index `first_event`.  Blocks before the one
+/// holding that event are integrity-checked but not decoded.  Throws
+/// InvalidArgument when the trace has fewer than `first_event` events
+/// (an index equal to the event count reads nothing).
+std::vector<RecordedEvent> read_events_from(const std::string& path,
+                                            std::uint64_t first_event,
+                                            std::size_t max_events);
 
 }  // namespace burstq::obs

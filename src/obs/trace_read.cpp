@@ -23,6 +23,38 @@ constexpr std::uint32_t kMaxBlockLen = 1u << 28;
 
 }  // namespace
 
+const EventValue* RecordedEvent::find(std::string_view key) const {
+  for (const auto& [k, v] : fields)
+    if (k == key) return &v;
+  return nullptr;
+}
+
+double RecordedEvent::num(std::string_view key, double fallback) const {
+  const EventValue* v = find(key);
+  return (v != nullptr && v->tag == EventValue::Tag::kNumber) ? v->num
+                                                              : fallback;
+}
+
+std::int64_t RecordedEvent::integer(std::string_view key,
+                                    std::int64_t fallback) const {
+  const EventValue* v = find(key);
+  return (v != nullptr && v->tag == EventValue::Tag::kNumber)
+             ? static_cast<std::int64_t>(std::llround(v->num))
+             : fallback;
+}
+
+std::string_view RecordedEvent::str(std::string_view key) const {
+  const EventValue* v = find(key);
+  return (v != nullptr && v->tag == EventValue::Tag::kString)
+             ? std::string_view(v->str)
+             : std::string_view{};
+}
+
+bool RecordedEvent::boolean(std::string_view key, bool fallback) const {
+  const EventValue* v = find(key);
+  return (v != nullptr && v->tag == EventValue::Tag::kBool) ? v->b : fallback;
+}
+
 std::string_view TraceColumnInfo::type_name() const {
   switch (type) {
     case Field::Tag::kInt:
@@ -40,13 +72,14 @@ std::string_view TraceColumnInfo::type_name() const {
 }
 
 TraceReader::TraceReader(const std::string& path) : path_(path) {
+  sniff_event_format(path);
   in_.open(path, std::ios::in | std::ios::binary);
   BURSTQ_REQUIRE(in_.is_open(), "cannot open trace file: " + path);
   char header[kFileHeaderSize] = {};
   in_.read(header, kFileHeaderSize);
-  if (in_.gcount() != kFileHeaderSize ||
-      std::string_view(header, kTraceMagic.size()) != kTraceMagic)
-    fail("not a BTRC trace (bad magic)");
+  if (in_.gcount() != kFileHeaderSize)
+    fail("truncated file header (" + std::to_string(in_.gcount()) + " of " +
+         std::to_string(kFileHeaderSize) + " bytes)");
   const auto version = static_cast<std::uint8_t>(header[4]);
   if (version != kTraceVersion)
     fail("unsupported BTRC version " + std::to_string(version) +
@@ -66,7 +99,14 @@ bool TraceReader::next_block(std::vector<RecordedEvent>& out, bool decode) {
     char header[kBlockHeaderSize] = {};
     in_.read(header, kBlockHeaderSize);
     const auto got = static_cast<std::size_t>(in_.gcount());
-    if (got == 0) return false;  // clean end of file
+    if (got == 0) {  // clean end of file
+      if (info_.events < skip_before_)
+        throw InvalidArgument(path_ + ": trace pointer event " +
+                              std::to_string(skip_before_) +
+                              " is past the end of the trace (" +
+                              std::to_string(info_.events) + " events)");
+      return false;
+    }
     if (got < kBlockHeaderSize)
       fail("truncated block header (" + std::to_string(got) + " of " +
            std::to_string(kBlockHeaderSize) + " bytes)");
@@ -176,7 +216,9 @@ bool TraceReader::next_block(std::vector<RecordedEvent>& out, bool decode) {
     }
     if (run_total != event_count)
       fail("malformed data block (order runs disagree with event count)");
+    const std::uint64_t first_event = info_.events;
     info_.events += event_count;
+    if (first_event + event_count <= skip_before_) decode = false;
 
     std::uint64_t n_batches = 0;
     need_varint(n_batches);
@@ -406,7 +448,7 @@ bool TraceReader::next_block(std::vector<RecordedEvent>& out, bool decode) {
                 break;
               case Field::Tag::kDouble: {
                 const double d = std::bit_cast<double>(cv.bits[idx]);
-                if (std::isfinite(d)) {  // non-finite stays null, like JSONL
+                if (std::isfinite(d)) {  // non-finite decodes as null
                   v.tag = EventValue::Tag::kNumber;
                   v.num = d;
                 }
@@ -425,6 +467,10 @@ bool TraceReader::next_block(std::vector<RecordedEvent>& out, bool decode) {
         }
       }
     }
+    if (decode && first_event < skip_before_)
+      out.erase(out.begin() + static_cast<std::ptrdiff_t>(base_out),
+                out.begin() + static_cast<std::ptrdiff_t>(
+                                  base_out + (skip_before_ - first_event)));
     rollback.armed = false;
     return true;
   }
@@ -512,96 +558,25 @@ EventFormat sniff_event_format(const std::string& path) {
   in.read(magic, 4);
   if (in.gcount() == 4 && std::string_view(magic, 4) == kTraceMagic)
     return EventFormat::kBinary;
-  in.clear();
-  in.seekg(0);
-  std::string first_line;
-  std::getline(in, first_line);
-  if (!first_line.empty() && first_line.back() == '\r') first_line.pop_back();
-  if (first_line == "id,kind,key,value")
-    throw InvalidArgument(
-        path +
-        ": long-CSV event logs are lossy (string-typed) and cannot be read "
-        "back; record .jsonl or .btrc and convert with `burstq_cli trace "
-        "tocsv`");
-  return EventFormat::kJsonl;
+  throw InvalidArgument(
+      path +
+      ": not a BTRC trace; event logs are recorded and read back as .btrc "
+      "only (a JSONL log, or the lossy long-CSV export, cannot be "
+      "replayed); record with --obs-out FILE.btrc and convert with "
+      "`burstq_cli trace tocsv`");
 }
 
-namespace {
-
-std::vector<RecordedEvent> read_at_offset_btrc(const std::string& path,
-                                               std::uint64_t offset,
-                                               std::size_t max_events) {
+std::vector<RecordedEvent> read_events_from(const std::string& path,
+                                            std::uint64_t first_event,
+                                            std::size_t max_events) {
   TraceReader reader(path);
+  reader.skip_events_before(first_event);
   std::vector<RecordedEvent> out;
-  // Skip (integrity-checked, schema absorbed) until the target block.
-  while (reader.valid_offset() < offset) {
-    if (!reader.next_block(out, /*decode=*/false))
-      throw InvalidArgument(path + ": trace pointer offset " +
-                            std::to_string(offset) +
-                            " is past the end of the trace (last block "
-                            "ends at byte " +
-                            std::to_string(reader.valid_offset()) + ")");
-  }
-  if (reader.valid_offset() != offset)
-    throw InvalidArgument(path + ": trace pointer offset " +
-                          std::to_string(offset) +
-                          " is not a block boundary (nearest boundary is "
-                          "byte " +
-                          std::to_string(reader.valid_offset()) + ")");
-  while (out.size() < max_events && reader.next_block(out)) {
+  while ((out.size() < max_events || reader.info().events < first_event) &&
+         reader.next_block(out)) {
   }
   if (out.size() > max_events) out.resize(max_events);
   return out;
-}
-
-std::vector<RecordedEvent> read_at_offset_jsonl(const std::string& path,
-                                                std::uint64_t offset,
-                                                std::size_t max_events) {
-  std::ifstream in(path, std::ios::in | std::ios::binary);
-  BURSTQ_REQUIRE(in.is_open(), "cannot open event file: " + path);
-  if (offset > 0) {
-    // A valid pointer lands just after a newline; anything else is a
-    // mid-line (or past-the-end) offset and would parse garbage.
-    in.seekg(static_cast<std::streamoff>(offset - 1));
-    char prev = '\0';
-    if (!in.read(&prev, 1))
-      throw InvalidArgument(path + ": trace pointer offset " +
-                            std::to_string(offset) +
-                            " is past the end of the trace");
-    if (prev != '\n')
-      throw InvalidArgument(path + ": trace pointer offset " +
-                            std::to_string(offset) +
-                            " is not the start of a JSONL line");
-  }
-  std::vector<RecordedEvent> out;
-  std::string line;
-  while (out.size() < max_events && std::getline(in, line)) {
-    std::string error;
-    auto event = parse_event_line(line, &error);
-    if (!event) {
-      if (error.empty()) continue;  // blank line
-      throw InvalidArgument(path + ": malformed event line after offset " +
-                            std::to_string(offset) + ": " + error);
-    }
-    out.push_back(std::move(*event));
-  }
-  return out;
-}
-
-}  // namespace
-
-std::vector<RecordedEvent> read_events_at_offset(const std::string& path,
-                                                 std::uint64_t offset,
-                                                 std::size_t max_events) {
-  if (sniff_event_format(path) == EventFormat::kBinary)
-    return read_at_offset_btrc(path, offset, max_events);
-  return read_at_offset_jsonl(path, offset, max_events);
-}
-
-std::vector<RecordedEvent> read_events_auto(const std::string& path) {
-  if (sniff_event_format(path) == EventFormat::kBinary)
-    return read_events_btrc(path);
-  return read_events_jsonl(path);
 }
 
 }  // namespace burstq::obs

@@ -20,8 +20,8 @@ constexpr std::uint8_t kSchemaBlock = 1;
 constexpr std::uint8_t kDataBlock = 2;
 
 // All non-finite doubles are stored as this canonical quiet-NaN pattern
-// and read back as null — mirroring the JSONL sink, which has no
-// NaN/inf literals, so the two formats decode identically.
+// and read back as null, so NaN and both infinities decode alike and
+// the file bytes do not depend on the NaN payload.
 constexpr std::uint64_t kNullBits = 0x7FF8000000000000ull;
 
 void put_string(std::string& out, std::string_view s) {
@@ -273,7 +273,7 @@ void TraceWriter::flush_block() {
           break;
         }
         case Field::Tag::kDouble: {
-          // Non-finite canonicalizes to the null pattern (JSONL parity).
+          // Non-finite canonicalizes to the null pattern.
           const auto bits_of = [](double v) {
             return std::isfinite(v) ? std::bit_cast<std::uint64_t>(v)
                                     : kNullBits;

@@ -515,7 +515,7 @@ namespace {
 
 /// Layout version of the snapshot blob: bump it on every layout change
 /// so an older blob is refused, not misread.
-constexpr std::uint64_t kBlobVersion = 2;
+constexpr std::uint64_t kBlobVersion = 3;
 
 }  // namespace
 
@@ -648,7 +648,6 @@ std::string ClusterSimulator::encode_state(std::size_t t) {
   const obs::EventLog::Checkpoint cp = obs::events().checkpoint();
   w.boolean(cp.valid);
   if (cp.valid) {
-    w.u8(static_cast<std::uint8_t>(cp.format));
     w.str(cp.path);
     w.varint(cp.bytes);
     w.varint(cp.events);
@@ -823,10 +822,6 @@ ClusterSimulator::RestoreInfo ClusterSimulator::restore_from_durable() {
   obs::EventLog::Checkpoint cp;
   cp.valid = r.boolean();
   if (cp.valid) {
-    const std::uint8_t fmt = r.u8();
-    if (fmt > static_cast<std::uint8_t>(obs::EventFormat::kBinary))
-      r.fail("trace checkpoint format out of range");
-    cp.format = static_cast<obs::EventFormat>(fmt);
     cp.path = r.str();
     cp.bytes = r.varint();
     cp.events = r.varint();

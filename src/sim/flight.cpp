@@ -151,9 +151,7 @@ std::string fmt6(double v) {
   return buf;
 }
 
-/// Basename without its last extension, so a JSONL and a BTRC recording
-/// of the same run ("run.jsonl" / "run.btrc") label their reports
-/// identically.
+/// Basename without its last extension ("dir/run.btrc" -> "run").
 std::string trace_stem(const std::string& path) {
   const std::size_t slash = path.find_last_of("/\\");
   std::string base =
@@ -343,7 +341,7 @@ std::string explain_slo_breaches(const std::string& path,
 
 std::vector<FlightReplaySegment> replay_flight_log(
     const std::string& path, const obs::SloOptions* slo) {
-  return replay_flight_log(obs::read_events_auto(path), slo);
+  return replay_flight_log(obs::read_events_btrc(path), slo);
 }
 
 }  // namespace burstq

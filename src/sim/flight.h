@@ -9,7 +9,7 @@
 // migration slots.
 //
 // Read side: replay_flight_log() re-drives a CvrTracker from a recorded
-// JSONL stream — record/reset calls happen in exactly the order the live
+// BTRC trace — record/reset calls happen in exactly the order the live
 // run performed them, so cumulative AND windowed CVR (including the
 // reset_window cooldown path) are reproduced bit-for-bit.  Comparing the
 // replayed totals against the live SimReport cross-checks the whole
@@ -27,7 +27,7 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/jsonl.h"
+#include "obs/trace.h"
 #include "obs/obs.h"
 #include "obs/slo.h"
 #include "sim/metrics.h"
@@ -131,10 +131,8 @@ std::vector<FlightReplaySegment> replay_flight_log(
     const std::vector<obs::RecordedEvent>& events,
     const obs::SloOptions* slo = nullptr);
 
-/// Convenience: read_events_auto + replay — consumes JSONL or BTRC
-/// directly (both decode to the same event stream, so the CVR and SLO
-/// verdicts are bit-identical).  Throws InvalidArgument for CSV logs,
-/// which are string-typed and not replayable.
+/// Convenience: read_events_btrc + replay.  Throws InvalidArgument for
+/// a file that is not BTRC (sniff_event_format names the fix).
 std::vector<FlightReplaySegment> replay_flight_log(
     const std::string& path, const obs::SloOptions* slo = nullptr);
 
@@ -150,20 +148,21 @@ struct SloExplainOptions {
   obs::SloOptions slo{};
   /// Max event kinds / span names / violating PMs listed per episode.
   std::size_t top{8};
-  /// Include byte-offset trace pointers (resolvable with `trace
-  /// head|tail --at-offset`).  Pointer lines are the only part of the
-  /// report that differs between a JSONL and a BTRC recording of the
-  /// same run, so diff-based tooling can turn them off.
+  /// Include trace pointer lines (the event index resolves with `trace
+  /// head|tail --at-event`).  Pointer lines are the only part of the
+  /// report that depends on the trace's block layout (a compressed and
+  /// a plain recording of the same run differ there), so diff-based
+  /// tooling can turn them off.
   bool pointers{true};
 };
 
 /// Re-derives SLO breach episodes from a recorded trace (existing
-/// flight replay) and explains each one: the episode window, a byte
-/// offset pointer to its first slot, the dominant event kinds and spans
-/// inside the window, and the top violating PMs.  Deterministic: the
-/// same trace renders byte-identically, and with the virtual span clock
-/// two same-seed runs do too.  Throws InvalidArgument on CSV logs and
-/// on unreadable/corrupt traces.
+/// flight replay) and explains each one: the episode window, a pointer
+/// (event index and block offset) to its first slot, the dominant event
+/// kinds and spans inside the window, and the top violating PMs.
+/// Deterministic: the same trace renders byte-identically, and with the
+/// virtual span clock two same-seed runs do too.  Throws
+/// InvalidArgument on non-BTRC files and on unreadable/corrupt traces.
 std::string explain_slo_breaches(const std::string& path,
                                  const SloExplainOptions& opt = {});
 

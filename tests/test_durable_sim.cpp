@@ -183,19 +183,22 @@ TEST_F(DurableSimTest, TraceStaysByteIdenticalAcrossKills) {
   const auto placed = ffd_by_peak(inst);
   ASSERT_TRUE(placed.complete());
 
-  for (const char* ext : {"jsonl", "btrc"}) {
-    const std::string ref_trace =
-        (dir_ / ("ref." + std::string(ext))).string();
-    obs::events().open(ref_trace, obs::event_format_from_path(ref_trace));
+  // Plain and LZ-compressed blocks: the rewind truncates to a block
+  // boundary either way.
+  for (const bool compress : {false, true}) {
+    const std::string ext = compress ? "lz.btrc" : "btrc";
+    const std::string ref_trace = (dir_ / ("ref." + ext)).string();
+    obs::events().open(ref_trace, obs::event_format_from_path(ref_trace),
+                       obs::EventLevel::kDetail, compress);
     const SimConfig base =
         base_config("", (dir_ / ("b" + std::string(ext))).string());
     ClusterSimulator ref(inst, placed.placement, base, Rng(14));
     const std::string want = digest(ref.run());
     obs::events().close();
 
-    const std::string kill_trace =
-        (dir_ / ("kill." + std::string(ext))).string();
-    obs::events().open(kill_trace, obs::event_format_from_path(kill_trace));
+    const std::string kill_trace = (dir_ / ("kill." + ext)).string();
+    obs::events().open(kill_trace, obs::event_format_from_path(kill_trace),
+                       obs::EventLevel::kDetail, compress);
     const SimConfig killed =
         base_config("kill@33", (dir_ / ("k" + std::string(ext))).string());
     std::size_t restores = 0;
@@ -313,13 +316,14 @@ TEST_F(DurableSimTest, OlderBlobVersionIsRejected) {
   ClusterSimulator first(inst, placed.placement, killed, Rng(18));
   EXPECT_THROW((void)first.run(), durable::SimKilled);
 
-  // Re-stamp the newest snapshot with layout version 1 (the blob opens
-  // with its version as a u64); its layout differs from today's.
+  // Re-stamp the newest snapshot with layout version 2 (the blob opens
+  // with its version as a u64); its layout — a trace-format byte in the
+  // trace checkpoint — differs from today's.
   durable::SnapshotStore store(state, false);
   const auto loaded = store.load_newest();
   ASSERT_TRUE(loaded.has_value());
   durable::StateWriter version;
-  version.u64(1);
+  version.u64(2);
   std::string blob = loaded->blob;
   blob.replace(0, 8, version.take());
   store.write_snapshot(loaded->slot, blob);

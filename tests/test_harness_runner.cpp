@@ -13,7 +13,6 @@
 #include "harness/report.h"
 #include "harness/runner.h"
 #include "harness/scenario.h"
-#include "obs/jsonl.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
 
@@ -71,7 +70,8 @@ TEST(HarnessRunner, PassingRunWritesLoadableReport) {
   EXPECT_EQ(run.report.status, "pass");
   EXPECT_TRUE(run.report.all_pass());
   EXPECT_EQ(run.report.slots_completed, 30u);
-  EXPECT_EQ(run.report.trace_file, "quiet.trace.jsonl");
+  EXPECT_EQ(run.report.trace_file, "quiet.trace.btrc");
+  EXPECT_EQ(run.report.trace_format, "btrc");
   if (obs::kEnabled) {
     EXPECT_GT(run.report.trace_events, 0u);
   }
@@ -87,7 +87,7 @@ TEST(HarnessRunner, PassingRunWritesLoadableReport) {
   // The trace next to the report reads back whole.  (Under
   // BURSTQ_NO_OBS the trace is legitimately empty.)
   if (obs::kEnabled) {
-    const auto events = obs::read_events_auto(run.trace_path);
+    const auto events = obs::read_events_btrc(run.trace_path);
     EXPECT_EQ(events.size(), run.report.trace_events);
   }
 }
@@ -270,55 +270,56 @@ TEST(HarnessRunner, BrokenScenarioNamesInvariantWithValidWindow) {
             std::string::npos);
 }
 
-TEST(HarnessRunner, TracePointerResolvesToWindowStart) {
-  if (!obs::kEnabled) GTEST_SKIP() << "BURSTQ_NO_OBS build";
-  HarnessOptions opt;
-  opt.out_dir = temp_dir("hr_ptr");
-  const RunSummary run = run_scenario(breached_scenario(), opt);
+/// Byte offset of the BTRC block that holds event `index`.
+std::uint64_t block_start_of(const std::string& path, std::uint64_t index) {
+  obs::TraceReader reader(path);
+  std::vector<obs::RecordedEvent> scratch;
+  std::uint64_t start = reader.valid_offset();
+  while (reader.info().events <= index) {
+    start = reader.valid_offset();
+    if (!reader.next_block(scratch, /*decode=*/false)) break;
+  }
+  return start;
+}
 
+/// The failing invariant's pointer must resolve exactly: the event at
+/// its index is the slot.obs of the window's first slot, and its offset
+/// is the boundary of the block holding that event.
+void expect_pointer_resolves(const RunSummary& run) {
   const InvariantResult* failed = nullptr;
   for (const InvariantResult& r : run.report.invariants)
     if (!r.pass) failed = &r;
   ASSERT_NE(failed, nullptr);
   ASSERT_TRUE(failed->trace.has_value());
+  EXPECT_EQ(failed->trace->slot, failed->window->first);
 
-  // JSONL pointers are exact: reading at the offset yields the slot.obs
-  // event of the window's first slot.
   const auto events =
-      obs::read_events_at_offset(run.trace_path, failed->trace->offset, 1);
+      obs::read_events_from(run.trace_path, failed->trace->event_index, 1);
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].kind, "slot.obs");
   EXPECT_EQ(events[0].integer("t"),
             static_cast<std::int64_t>(failed->window->first));
-  EXPECT_EQ(failed->trace->slot, failed->window->first);
+  EXPECT_EQ(failed->trace->offset,
+            block_start_of(run.trace_path, failed->trace->event_index));
+}
+
+TEST(HarnessRunner, TracePointerResolvesToWindowStart) {
+  if (!obs::kEnabled) GTEST_SKIP() << "BURSTQ_NO_OBS build";
+  HarnessOptions opt;
+  opt.out_dir = temp_dir("hr_ptr");
+  expect_pointer_resolves(run_scenario(breached_scenario(), opt));
 }
 
 TEST(HarnessRunner, BtrcTracePointerLandsOnBlockBoundary) {
+  // The same pointer over LZ-compressed blocks: the offset moves with the
+  // block layout, the event index does not.
   if (!obs::kEnabled) GTEST_SKIP() << "BURSTQ_NO_OBS build";
   HarnessOptions opt;
   opt.out_dir = temp_dir("hr_btrc");
-  opt.trace_format = obs::EventFormat::kBinary;
+  opt.compress = true;
   const RunSummary run = run_scenario(breached_scenario(), opt);
-
-  EXPECT_EQ(run.report.trace_format, "btrc");
-  const InvariantResult* failed = nullptr;
-  for (const InvariantResult& r : run.report.invariants)
-    if (!r.pass) failed = &r;
-  ASSERT_NE(failed, nullptr);
-  ASSERT_TRUE(failed->trace.has_value());
-
-  // A BTRC pointer is a block boundary: reading there must succeed and
-  // the stream from that point must contain the window-start slot.obs.
-  const auto events = obs::read_events_at_offset(
-      run.trace_path, failed->trace->offset, 4096);
-  ASSERT_FALSE(events.empty());
-  bool found = false;
-  for (const auto& e : events)
-    if (e.kind == "slot.obs" &&
-        e.integer("t") ==
-            static_cast<std::int64_t>(failed->window->first))
-      found = true;
-  EXPECT_TRUE(found);
+  EXPECT_TRUE(obs::read_trace_info(run.trace_path).compressed);
+  expect_pointer_resolves(run);
 }
 
 // --- abort safety -----------------------------------------------------
@@ -347,14 +348,14 @@ TEST(HarnessRunner, AbortWritesReportAndFinalizesTrace) {
   // The partial trace was flushed and finalized — every event written
   // before the abort reads back.
   if (obs::kEnabled) {
-    const auto events = obs::read_events_auto(run.trace_path);
+    const auto events = obs::read_events_btrc(run.trace_path);
     EXPECT_EQ(events.size(), run.report.trace_events);
     EXPECT_GT(events.size(), 0u);
   }
 }
 
 TEST(HarnessRunner, AbortFinalizesBtrcPartialBlock) {
-  // Same abort, binary trace: the buffered partial block must be
+  // Same abort, LZ-compressed trace: the buffered partial block must be
   // flushed on close or the trace would be unreadable.
   const Scenario sc = parse_scenario_text(
       "scenario doomed_btrc\nslots 50\nrho 0.05\n"
@@ -363,7 +364,7 @@ TEST(HarnessRunner, AbortFinalizesBtrcPartialBlock) {
       "<doomed_btrc>");
   HarnessOptions opt;
   opt.out_dir = temp_dir("hr_abort_btrc");
-  opt.trace_format = obs::EventFormat::kBinary;
+  opt.compress = true;
   const RunSummary run = run_scenario(sc, opt);
 
   EXPECT_EQ(run.report.status, "abort");
@@ -371,6 +372,26 @@ TEST(HarnessRunner, AbortFinalizesBtrcPartialBlock) {
   const auto events = obs::read_events_btrc(run.trace_path);
   EXPECT_EQ(events.size(), run.report.trace_events);
   EXPECT_GT(events.size(), 0u);
+}
+
+// --- report JSON -----------------------------------------------------
+
+// Report strings (scenario names, abort reasons) are JSON-escaped on
+// write — quotes, backslashes and control bytes — and parse back intact.
+TEST(JsonEscape, EscapesControlAndQuotes) {
+  ScenarioReport report;
+  report.scenario = "plain";
+  report.status = "abort";
+  report.abort_reason = "a\"b a\\b a\nb\tc \x01\x1f\r";
+  report.trace_file = "plain.trace.btrc";
+  report.trace_format = "btrc";
+  const std::string json = render_report_json(report);
+  EXPECT_NE(json.find("\"scenario\": \"plain\""), std::string::npos);
+  EXPECT_NE(json.find(R"("a\"b a\\b a\nb\tc \u0001\u001f\r")"),
+            std::string::npos)
+      << json;
+  const ScenarioReport back = parse_report_json(json, "<escape>");
+  EXPECT_EQ(back.abort_reason, report.abort_reason);
 }
 
 // --- failure modes ----------------------------------------------------

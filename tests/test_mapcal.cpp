@@ -14,7 +14,7 @@
 #include "common/error.h"
 #include "common/parallel.h"
 #include "markov/aggregate_chain.h"
-#include "obs/jsonl.h"
+#include "obs/trace.h"
 #include "obs/obs.h"
 #include "prob/binomial.h"
 #include "queuing/mapcal.h"
@@ -190,17 +190,23 @@ TEST(MapCalTable, CacheHitBitIdenticalToColdSolve) {
   }
 }
 
+/// A recorded trace: its bytes and its decoded events.
+struct Recording {
+  std::string bytes;
+  std::vector<obs::RecordedEvent> events;
+};
+
 /// Records the decision events of `builds` cold d = 16 table builds at
-/// `threads` workers; returns the log bytes.
-std::string record_cold_builds(std::size_t builds, std::size_t threads) {
+/// `threads` workers.
+Recording record_cold_builds(std::size_t builds, std::size_t threads) {
   const std::string path = ::testing::TempDir() + "/mapcal_order_" +
                            std::to_string(threads) + "_" +
                            ::testing::UnitTest::GetInstance()
                                ->current_test_info()
                                ->name() +
-                           ".jsonl";
+                           ".btrc";
   set_thread_count_override(threads);
-  obs::events().open(path, obs::EventFormat::kJsonl,
+  obs::events().open(path, obs::EventFormat::kBinary,
                      obs::EventLevel::kDecisions);
   for (std::size_t b = 0; b < builds; ++b) {
     mapcal_table_cache_clear();
@@ -208,11 +214,12 @@ std::string record_cold_builds(std::size_t builds, std::size_t threads) {
   }
   obs::events().close();
   set_thread_count_override(0);
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   std::ostringstream bytes;
   bytes << in.rdbuf();
+  Recording out{bytes.str(), obs::read_events_btrc(path)};
   std::remove(path.c_str());
-  return bytes.str();
+  return out;
 }
 
 TEST(MapCalTable, ParallelBuildEmitsEventsInKOrder) {
@@ -221,19 +228,16 @@ TEST(MapCalTable, ParallelBuildEmitsEventsInKOrder) {
   // on one thread.
   if (!obs::kEnabled) GTEST_SKIP() << "events compiled out";
   constexpr std::size_t kBuilds = 200;
-  const std::string parallel = record_cold_builds(kBuilds, 4);
-  std::istringstream lines(parallel);
-  std::string line;
+  const Recording parallel = record_cold_builds(kBuilds, 4);
   std::size_t n = 0;
-  while (std::getline(lines, line)) {
-    const auto ev = obs::parse_event_line(line);
-    if (!ev || ev->kind != "mapcal") continue;
-    ASSERT_EQ(ev->integer("k"), static_cast<std::int64_t>(n % 16 + 1))
+  for (const obs::RecordedEvent& ev : parallel.events) {
+    if (ev.kind != "mapcal") continue;
+    ASSERT_EQ(ev.integer("k"), static_cast<std::int64_t>(n % 16 + 1))
         << "event " << n;
     ++n;
   }
   EXPECT_EQ(n, kBuilds * 16);
-  EXPECT_EQ(parallel, record_cold_builds(kBuilds, 1));
+  EXPECT_EQ(parallel.bytes, record_cold_builds(kBuilds, 1).bytes);
 }
 
 TEST(MapCal, PaperParameterSanity) {

@@ -19,7 +19,7 @@
 
 #include "obs/event_log.h"
 #include "obs/exporter.h"
-#include "obs/jsonl.h"
+#include "obs/trace.h"
 #include "obs/obs.h"
 #include "obs/prometheus.h"
 #include "obs/registry.h"
@@ -118,8 +118,8 @@ TEST(ObsConcurrency, SloTrackerRecordVsReport) {
 
 TEST(ObsConcurrency, SpanEventEmissionAcrossThreads) {
   if (!kEnabled) GTEST_SKIP() << "BURSTQ_NO_OBS build";
-  const std::string path = testing::TempDir() + "span_events_mt.jsonl";
-  events().open(path, EventFormat::kJsonl, EventLevel::kDetail);
+  const std::string path = testing::TempDir() + "span_events_mt.btrc";
+  events().open(path, EventFormat::kBinary, EventLevel::kDetail);
   set_span_events({1, /*virtual_clock=*/true});
   constexpr int kThreads = 4;
   constexpr int kIters = 250;
@@ -144,7 +144,7 @@ TEST(ObsConcurrency, SpanEventEmissionAcrossThreads) {
   std::map<std::int64_t, std::vector<std::int64_t>> stacks;
   std::size_t begins = 0;
   std::size_t ends = 0;
-  for (const RecordedEvent& e : read_events_jsonl(path)) {
+  for (const RecordedEvent& e : read_events_btrc(path)) {
     if (e.kind == "span.begin") {
       ++begins;
       const std::int64_t id = e.integer("id");

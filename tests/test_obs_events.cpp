@@ -1,5 +1,6 @@
-// Tests for the structured event log and its JSONL reader: field typing,
-// level gating, JSON escaping, and write -> parse round trips.
+// Tests for the structured event log: field typing, level gating, and
+// write -> read round trips through the BTRC sink, including adversarial
+// strings; plus the CSV escaping `trace tocsv` writes with.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +10,7 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "obs/event_log.h"
-#include "obs/jsonl.h"
+#include "obs/trace.h"
 
 namespace burstq::obs {
 namespace {
@@ -27,13 +28,6 @@ TEST(EventLevel, Parsing) {
   EXPECT_THROW(parse_event_level("verbose"), InvalidArgument);
 }
 
-TEST(JsonEscape, EscapesControlAndQuotes) {
-  EXPECT_EQ(json_escape("plain"), "plain");
-  EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
-  EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
-  EXPECT_EQ(json_escape("a\nb\tc"), "a\\nb\\tc");
-}
-
 TEST(EventLog, ClosedLogIsDisabledAndDropsEvents) {
   EventLog log;
   EXPECT_FALSE(log.enabled(EventLevel::kDecisions));
@@ -42,24 +36,24 @@ TEST(EventLog, ClosedLogIsDisabledAndDropsEvents) {
 }
 
 TEST(EventLog, LevelGating) {
-  const std::string path = temp_path("gating.jsonl");
+  const std::string path = temp_path("gating_log.btrc");
   EventLog log;
-  log.open(path, EventFormat::kJsonl, EventLevel::kDecisions);
+  log.open(path, EventFormat::kBinary, EventLevel::kDecisions);
   EXPECT_TRUE(log.enabled(EventLevel::kDecisions));
   EXPECT_FALSE(log.enabled(EventLevel::kDetail));
   log.emit(EventLevel::kDecisions, "kept", {});
   log.emit(EventLevel::kDetail, "dropped", {});
   log.close();
   EXPECT_FALSE(log.enabled(EventLevel::kDecisions));
-  const auto events = read_events_jsonl(path);
+  const auto events = read_events_btrc(path);
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].kind, "kept");
 }
 
 TEST(EventLog, JsonlRoundTripPreservesTypesAndValues) {
-  const std::string path = temp_path("roundtrip.jsonl");
+  const std::string path = temp_path("roundtrip.btrc");
   EventLog log;
-  log.open(path, EventFormat::kJsonl, EventLevel::kDetail);
+  log.open(path, EventFormat::kBinary, EventLevel::kDetail);
   log.emit(EventLevel::kDecisions, "mixed",
            {{"i", -42},
             {"u", std::size_t{7}},
@@ -71,7 +65,7 @@ TEST(EventLog, JsonlRoundTripPreservesTypesAndValues) {
   log.close();
   EXPECT_EQ(log.events_written(), 2u);
 
-  const auto events = read_events_jsonl(path);
+  const auto events = read_events_btrc(path);
   ASSERT_EQ(events.size(), 2u);
   const RecordedEvent& e = events[0];
   EXPECT_EQ(e.kind, "mixed");
@@ -87,13 +81,13 @@ TEST(EventLog, JsonlRoundTripPreservesTypesAndValues) {
 }
 
 TEST(EventLog, NonFiniteDoublesBecomeNull) {
-  const std::string path = temp_path("nonfinite.jsonl");
+  const std::string path = temp_path("nonfinite_log.btrc");
   EventLog log;
-  log.open(path, EventFormat::kJsonl, EventLevel::kDetail);
+  log.open(path, EventFormat::kBinary, EventLevel::kDetail);
   log.emit(EventLevel::kDecisions, "nan",
            {{"v", std::numeric_limits<double>::quiet_NaN()}});
   log.close();
-  const auto events = read_events_jsonl(path);
+  const auto events = read_events_btrc(path);
   ASSERT_EQ(events.size(), 1u);
   const EventValue* v = events[0].find("v");
   ASSERT_NE(v, nullptr);
@@ -107,38 +101,9 @@ TEST(EventLog, RunLabelRoundTrip) {
   EXPECT_EQ(log.run_label(), "fig6/QUEUE");
 }
 
-TEST(ParseEventLine, RejectsMalformedInput) {
-  std::string error;
-  EXPECT_FALSE(parse_event_line("", &error).has_value());
-  EXPECT_TRUE(error.empty());  // blank line is not an error
-  EXPECT_FALSE(parse_event_line("not json", &error).has_value());
-  EXPECT_FALSE(error.empty());
-  EXPECT_FALSE(parse_event_line("{\"kind\":\"x\",\"v\":[1]}", &error)
-                   .has_value());
-  EXPECT_FALSE(parse_event_line("{\"kind\":\"x\"", &error).has_value());
-}
-
-TEST(ParseEventLine, ParsesEscapesAndNumbers) {
-  const auto e = parse_event_line(
-      "{\"kind\":\"k\",\"s\":\"a\\u0041\\n\",\"n\":-1.5e2,\"b\":true,"
-      "\"z\":null}");
-  ASSERT_TRUE(e.has_value());
-  EXPECT_EQ(e->kind, "k");
-  EXPECT_EQ(e->str("s"), "aA\n");
-  EXPECT_DOUBLE_EQ(e->num("n"), -150.0);
-  EXPECT_TRUE(e->boolean("b"));
-  ASSERT_NE(e->find("z"), nullptr);
-  EXPECT_EQ(e->find("z")->tag, EventValue::Tag::kNull);
-}
-
-TEST(ReadEventsJsonl, MissingFileThrows) {
-  EXPECT_THROW(read_events_jsonl(temp_path("does_not_exist.jsonl")),
-               InvalidArgument);
-}
-
 // Seed-pure fuzz-style round trip: adversarial strings (unicode bytes,
-// embedded quotes/backslashes/newlines/control bytes, empty values) must
-// survive writer escaping and reader parsing.
+// embedded quotes/backslashes/newlines/control bytes, empty values) as
+// keys and values must come back from a BTRC recording byte for byte.
 namespace {
 
 std::string fuzz_string(Rng& rng) {
@@ -158,11 +123,11 @@ std::string fuzz_string(Rng& rng) {
 }  // namespace
 
 TEST(EventLogFuzz, JsonlEscapingRoundTripsAdversarialStrings) {
-  const std::string path = temp_path("fuzz.jsonl");
+  const std::string path = temp_path("fuzz.btrc");
   Rng rng(20240809);  // seed-pure: same strings every run
   std::vector<std::pair<std::string, std::string>> emitted;  // key, value
   EventLog log;
-  log.open(path, EventFormat::kJsonl, EventLevel::kDetail);
+  log.open(path, EventFormat::kBinary, EventLevel::kDetail);
   for (int i = 0; i < 300; ++i) {
     std::string key = fuzz_string(rng);
     if (key == "kind" || key.empty()) key = "k" + key;
@@ -172,7 +137,7 @@ TEST(EventLogFuzz, JsonlEscapingRoundTripsAdversarialStrings) {
   }
   log.close();
 
-  const auto events = read_events_jsonl(path);
+  const auto events = read_events_btrc(path);
   ASSERT_EQ(events.size(), emitted.size());
   for (std::size_t i = 0; i < events.size(); ++i) {
     ASSERT_EQ(events[i].fields.size(), 1u) << i;

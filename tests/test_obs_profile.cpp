@@ -2,9 +2,9 @@
 // reconstruction (inclusive/exclusive time, slot attribution, critical
 // paths, collapsed stacks), span-event emission, and the end-to-end
 // determinism contracts — same-seed runs render byte-identical
-// `trace profile` and `slo explain` reports, JSONL and BTRC recordings
-// agree, and explain pointers resolve to events inside the named
-// breach window.
+// `trace profile` and `slo explain` reports, plain and LZ-compressed
+// recordings agree, and explain pointers resolve exactly to the named
+// breach window's first slot.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +17,6 @@
 
 #include "common/error.h"
 #include "obs/event_log.h"
-#include "obs/jsonl.h"
 #include "obs/obs.h"
 #include "obs/profile.h"
 #include "obs/query.h"
@@ -30,10 +29,38 @@
 namespace burstq::obs {
 namespace {
 
-RecordedEvent ev(const std::string& json) {
-  auto parsed = parse_event_line(json);
-  EXPECT_TRUE(parsed.has_value()) << json;
-  return *parsed;
+/// Builds an event as the BTRC reader decodes one: integers and doubles
+/// become kNumber, fields stay in emission order.
+RecordedEvent ev(std::string_view kind, std::initializer_list<Field> fields) {
+  RecordedEvent out;
+  out.kind = std::string(kind);
+  for (const Field& f : fields) {
+    auto& [key, v] = out.fields.emplace_back();
+    key = std::string(f.key);
+    switch (f.tag) {
+      case Field::Tag::kInt:
+        v.tag = EventValue::Tag::kNumber;
+        v.num = static_cast<double>(f.i);
+        break;
+      case Field::Tag::kUint:
+        v.tag = EventValue::Tag::kNumber;
+        v.num = static_cast<double>(f.u);
+        break;
+      case Field::Tag::kDouble:
+        v.tag = EventValue::Tag::kNumber;
+        v.num = f.d;
+        break;
+      case Field::Tag::kBool:
+        v.tag = EventValue::Tag::kBool;
+        v.b = f.b;
+        break;
+      case Field::Tag::kString:
+        v.tag = EventValue::Tag::kString;
+        v.str = std::string(f.s);
+        break;
+    }
+  }
+  return out;
 }
 
 // ---- query expression engine ----------------------------------------
@@ -41,34 +68,34 @@ RecordedEvent ev(const std::string& json) {
 TEST(Query, EmptyExpressionMatchesEverything) {
   const Query q = Query::parse("   ");
   EXPECT_TRUE(q.empty());
-  EXPECT_TRUE(q.matches(ev("{\"kind\":\"slot.obs\",\"t\":3}")));
+  EXPECT_TRUE(q.matches(ev("slot.obs", {{"t", 3}})));
 }
 
 TEST(Query, KindAndNumericClausesAreAnded) {
   const Query q = Query::parse("kind=slot.obs, t>=3, t<5");
-  EXPECT_TRUE(q.matches(ev("{\"kind\":\"slot.obs\",\"t\":3}")));
-  EXPECT_TRUE(q.matches(ev("{\"kind\":\"slot.obs\",\"t\":4}")));
-  EXPECT_FALSE(q.matches(ev("{\"kind\":\"slot.obs\",\"t\":5}")));
-  EXPECT_FALSE(q.matches(ev("{\"kind\":\"migration\",\"t\":3}")));
+  EXPECT_TRUE(q.matches(ev("slot.obs", {{"t", 3}})));
+  EXPECT_TRUE(q.matches(ev("slot.obs", {{"t", 4}})));
+  EXPECT_FALSE(q.matches(ev("slot.obs", {{"t", 5}})));
+  EXPECT_FALSE(q.matches(ev("migration", {{"t", 3}})));
 }
 
 TEST(Query, StringBoolAndMissingFieldSemantics) {
   EXPECT_TRUE(Query::parse("name=sim.slot")
-                  .matches(ev("{\"kind\":\"x\",\"name\":\"sim.slot\"}")));
+                  .matches(ev("x", {{"name", "sim.slot"}})));
   EXPECT_TRUE(
-      Query::parse("ok=true").matches(ev("{\"kind\":\"x\",\"ok\":true}")));
+      Query::parse("ok=true").matches(ev("x", {{"ok", true}})));
   // ok=true coerces bool->1 only for numeric text; "true" is a string
   // compare against the rendered value.
   EXPECT_FALSE(
-      Query::parse("ok=true").matches(ev("{\"kind\":\"x\",\"ok\":false}")));
+      Query::parse("ok=true").matches(ev("x", {{"ok", false}})));
   // An absent field never matches, not even with !=.
   EXPECT_FALSE(
-      Query::parse("t!=3").matches(ev("{\"kind\":\"x\",\"u\":1}")));
+      Query::parse("t!=3").matches(ev("x", {{"u", 1}})));
 }
 
 TEST(Query, OrderingOnNonNumericValuesFails) {
   EXPECT_FALSE(Query::parse("name>a").matches(
-      ev("{\"kind\":\"x\",\"name\":\"zzz\"}")));
+      ev("x", {{"name", "zzz"}})));
 }
 
 TEST(Query, MalformedExpressionsThrow) {
@@ -82,12 +109,14 @@ TEST(Query, MalformedExpressionsThrow) {
 
 std::vector<RecordedEvent> nested_span_events() {
   return {
-      ev("{\"kind\":\"span.begin\",\"id\":1,\"parent\":0,\"thread\":0,"
-         "\"name\":\"root\",\"t_ns\":1}"),
-      ev("{\"kind\":\"span.begin\",\"id\":2,\"parent\":1,\"thread\":0,"
-         "\"name\":\"child\",\"t_ns\":2}"),
-      ev("{\"kind\":\"span.end\",\"id\":2,\"t_ns\":5}"),
-      ev("{\"kind\":\"span.end\",\"id\":1,\"t_ns\":10}"),
+      ev("span.begin",
+         {{"id", 1}, {"parent", 0}, {"thread", 0}, {"name", "root"},
+          {"t_ns", 1}}),
+      ev("span.begin",
+         {{"id", 2}, {"parent", 1}, {"thread", 0}, {"name", "child"},
+          {"t_ns", 2}}),
+      ev("span.end", {{"id", 2}, {"t_ns", 5}}),
+      ev("span.end", {{"id", 1}, {"t_ns", 10}}),
   };
 }
 
@@ -129,19 +158,22 @@ TEST(SpanTreeBuilder, SlotAttributionFollowsSlotObs) {
   // A span beginning after slot.obs(t) belongs to slot t+1; sim.config
   // moves setup (-1) to slot 0.
   const SpanProfile p = build({
-      ev("{\"kind\":\"span.begin\",\"id\":1,\"parent\":0,\"thread\":0,"
-         "\"name\":\"setup\",\"t_ns\":1}"),
-      ev("{\"kind\":\"span.end\",\"id\":1,\"t_ns\":2}"),
-      ev("{\"kind\":\"sim.config\",\"label\":\"x\",\"n_pms\":2,"
-         "\"slots\":4,\"window\":5,\"rho\":0.01}"),
-      ev("{\"kind\":\"span.begin\",\"id\":2,\"parent\":0,\"thread\":0,"
-         "\"name\":\"slot0\",\"t_ns\":3}"),
-      ev("{\"kind\":\"span.end\",\"id\":2,\"t_ns\":5}"),
-      ev("{\"kind\":\"slot.obs\",\"t\":0,\"active\":\"0 1\","
-         "\"viol\":\"\"}"),
-      ev("{\"kind\":\"span.begin\",\"id\":3,\"parent\":0,\"thread\":0,"
-         "\"name\":\"slot1\",\"t_ns\":6}"),
-      ev("{\"kind\":\"span.end\",\"id\":3,\"t_ns\":10}"),
+      ev("span.begin",
+         {{"id", 1}, {"parent", 0}, {"thread", 0}, {"name", "setup"},
+          {"t_ns", 1}}),
+      ev("span.end", {{"id", 1}, {"t_ns", 2}}),
+      ev("sim.config",
+         {{"label", "x"}, {"n_pms", 2}, {"slots", 4}, {"window", 5},
+          {"rho", 0.01}}),
+      ev("span.begin",
+         {{"id", 2}, {"parent", 0}, {"thread", 0}, {"name", "slot0"},
+          {"t_ns", 3}}),
+      ev("span.end", {{"id", 2}, {"t_ns", 5}}),
+      ev("slot.obs", {{"t", 0}, {"active", "0 1"}, {"viol", ""}}),
+      ev("span.begin",
+         {{"id", 3}, {"parent", 0}, {"thread", 0}, {"name", "slot1"},
+          {"t_ns", 6}}),
+      ev("span.end", {{"id", 3}, {"t_ns", 10}}),
   });
   ASSERT_EQ(p.slots.size(), 3u);
   EXPECT_EQ(p.slots[0].slot, -1);
@@ -155,9 +187,10 @@ TEST(SpanTreeBuilder, SlotAttributionFollowsSlotObs) {
 
 TEST(SpanTreeBuilder, UnmatchedEndsAndUnclosedBeginsAreCounted) {
   const SpanProfile p = build({
-      ev("{\"kind\":\"span.end\",\"id\":99,\"t_ns\":4}"),
-      ev("{\"kind\":\"span.begin\",\"id\":7,\"parent\":0,\"thread\":0,"
-         "\"name\":\"truncated\",\"t_ns\":5}"),
+      ev("span.end", {{"id", 99}, {"t_ns", 4}}),
+      ev("span.begin",
+         {{"id", 7}, {"parent", 0}, {"thread", 0}, {"name", "truncated"},
+          {"t_ns", 5}}),
   });
   EXPECT_EQ(p.unmatched_ends, 1u);
   EXPECT_EQ(p.unclosed, 1u);
@@ -203,14 +236,14 @@ void nested_named_spans(int repeats) {
 }
 
 TEST(SpanEvents, EmitsPairedEventsWithParentLinks) {
-  const std::string path = temp_path("span_pairs.jsonl");
-  events().open(path, EventFormat::kJsonl, EventLevel::kDetail);
+  const std::string path = temp_path("span_pairs.btrc");
+  events().open(path, EventFormat::kBinary, EventLevel::kDetail);
   set_span_events({1, true});
   nested_named_spans(3);
   set_span_events({});
   events().close();
 
-  const auto recorded = read_events_jsonl(path);
+  const auto recorded = read_events_btrc(path);
   std::map<std::int64_t, std::string> begin_name;
   std::map<std::int64_t, std::int64_t> parent;
   std::size_t ends = 0;
@@ -240,7 +273,7 @@ TEST(SpanEvents, EmitsPairedEventsWithParentLinks) {
 }
 
 TEST(SpanEvents, SamplingEmitsOneInNAndCountsDrops) {
-  const std::string path = temp_path("span_sampled.jsonl");
+  const std::string path = temp_path("span_sampled.btrc");
   const auto counter_value = [](const char* name) -> std::uint64_t {
     const MetricsSnapshot snap = metrics().scrape();
     const CounterSample* c = snap.counter(name);
@@ -248,7 +281,7 @@ TEST(SpanEvents, SamplingEmitsOneInNAndCountsDrops) {
   };
   const std::uint64_t dropped0 =
       counter_value("obs.span.events_dropped");
-  events().open(path, EventFormat::kJsonl, EventLevel::kDetail);
+  events().open(path, EventFormat::kBinary, EventLevel::kDetail);
   set_span_events({2, true});
   nested_named_spans(10);  // 20 named spans on this thread
   set_span_events({});
@@ -256,7 +289,7 @@ TEST(SpanEvents, SamplingEmitsOneInNAndCountsDrops) {
 
   std::size_t begins = 0;
   std::size_t ends = 0;
-  for (const RecordedEvent& e : read_events_jsonl(path)) {
+  for (const RecordedEvent& e : read_events_btrc(path)) {
     begins += e.kind == "span.begin" ? 1u : 0u;
     ends += e.kind == "span.end" ? 1u : 0u;
   }
@@ -266,13 +299,13 @@ TEST(SpanEvents, SamplingEmitsOneInNAndCountsDrops) {
 }
 
 TEST(SpanEvents, SilentWithoutDetailSink) {
-  const std::string path = temp_path("span_decisions.jsonl");
-  events().open(path, EventFormat::kJsonl, EventLevel::kDecisions);
+  const std::string path = temp_path("span_decisions.btrc");
+  events().open(path, EventFormat::kBinary, EventLevel::kDecisions);
   set_span_events({1, true});
   nested_named_spans(2);
   set_span_events({});
   events().close();
-  for (const RecordedEvent& e : read_events_jsonl(path))
+  for (const RecordedEvent& e : read_events_btrc(path))
     EXPECT_NE(e.kind.substr(0, 5), "span.");
 }
 
@@ -289,8 +322,8 @@ ProblemInstance overcommitted_instance() {
 }
 
 /// Records one same-seed simulator run (full span sampling, virtual
-/// clock) into `path`.
-void record_run(const std::string& path) {
+/// clock) into `path`, with LZ-compressed blocks when `compress`.
+void record_run(const std::string& path, bool compress = false) {
   ProblemInstance inst = overcommitted_instance();
   Placement placed(inst);
   for (std::size_t i = 0; i < inst.n_vms(); ++i)
@@ -298,7 +331,8 @@ void record_run(const std::string& path) {
   // A warm MapCal cache would swallow spans a cold run emits; every
   // recording must start cold for byte-identity across recordings.
   mapcal_table_cache_clear();
-  events().open(path, event_format_from_path(path), EventLevel::kDetail);
+  events().open(path, event_format_from_path(path), EventLevel::kDetail,
+                compress);
   set_span_events({1, true});
   SimConfig cfg;
   cfg.slots = 60;
@@ -315,32 +349,34 @@ SloExplainOptions short_windows() {
   return opt;
 }
 
-/// Drops the two per-format lines (`slo.explain.format=`, `pointer `)
-/// so JSONL and BTRC reports of the same run can be compared.
-std::string strip_format_lines(const std::string& report) {
+/// Drops the `trace_offset=` of every pointer line, the one field that
+/// depends on the block layout, so plain and LZ-compressed recordings of
+/// the same run can be compared.
+std::string strip_offsets(const std::string& report) {
   std::istringstream in(report);
   std::string out;
   std::string line;
-  while (std::getline(in, line))
-    if (line.rfind("slo.explain.format=", 0) != 0 &&
-        line.rfind("pointer ", 0) != 0)
-      out += line + "\n";
+  while (std::getline(in, line)) {
+    if (line.rfind("pointer trace_offset=", 0) == 0)
+      line = "pointer" + line.substr(line.find(' ', 8));
+    out += line + "\n";
+  }
   return out;
 }
 
 TEST(TraceProfileEndToEnd, SameSeedAndCrossFormatByteIdentity) {
-  const std::string a = temp_path("prof_a.jsonl");
-  const std::string b = temp_path("prof_b.jsonl");
+  const std::string a = temp_path("prof_a.btrc");
+  const std::string b = temp_path("prof_b.btrc");
   const std::string c = temp_path("prof_c.btrc");
   record_run(a);
   record_run(b);
-  record_run(c);
+  record_run(c, /*compress=*/true);
   const std::string report_a = profile_trace(a).render();
   EXPECT_GT(profile_trace(a).spans, 0u);
   EXPECT_EQ(report_a, profile_trace(b).render())
       << "same-seed profiles must be byte-identical";
   EXPECT_EQ(report_a, profile_trace(c).render())
-      << "JSONL and BTRC recordings of the same run must agree";
+      << "plain and LZ-compressed recordings of the same run must agree";
   EXPECT_NE(report_a.find("sim.slot"), std::string::npos);
 }
 
@@ -348,20 +384,22 @@ TEST(SloExplainEndToEnd, SameSeedAndCrossFormatAgreement) {
   std::filesystem::create_directories(temp_path("expl_a"));
   std::filesystem::create_directories(temp_path("expl_b"));
   std::filesystem::create_directories(temp_path("expl_c"));
-  const std::string a = temp_path("expl_a/run.jsonl");
-  const std::string b = temp_path("expl_b/run.jsonl");
+  const std::string a = temp_path("expl_a/run.btrc");
+  const std::string b = temp_path("expl_b/run.btrc");
   const std::string c = temp_path("expl_c/run.btrc");
   record_run(a);
   record_run(b);
-  record_run(c);
+  record_run(c, /*compress=*/true);
   const std::string report_a = explain_slo_breaches(a, short_windows());
   EXPECT_NE(report_a.find("episode="), std::string::npos)
       << "the overcommitted fleet must produce at least one episode";
   EXPECT_EQ(report_a, explain_slo_breaches(b, short_windows()))
       << "same-seed explain reports must be byte-identical";
-  // BTRC offsets differ from JSONL offsets; everything else agrees.
-  EXPECT_EQ(strip_format_lines(report_a),
-            strip_format_lines(explain_slo_breaches(c, short_windows())));
+  // Compressed blocks can move the byte offsets; everything else
+  // agrees, event indices included.
+  ASSERT_TRUE(read_trace_info(c).compressed);
+  EXPECT_EQ(strip_offsets(report_a),
+            strip_offsets(explain_slo_breaches(c, short_windows())));
 }
 
 TEST(SloExplainEndToEnd, PointerResolvesIntoBreachWindow) {
@@ -370,10 +408,10 @@ TEST(SloExplainEndToEnd, PointerResolvesIntoBreachWindow) {
   const std::string report = explain_slo_breaches(path, short_windows());
 
   // The first episode line names the window; its pointer line gives the
-  // byte offset of the window's first slot.obs.
+  // event index of the window's first slot.obs.
   long long begin_slot = -1;
   long long end_slot = -1;
-  unsigned long long offset = 0;
+  unsigned long long event_index = 0;
   long long ptr_slot = -1;
   std::istringstream in(report);
   std::string line;
@@ -384,21 +422,20 @@ TEST(SloExplainEndToEnd, PointerResolvesIntoBreachWindow) {
       continue;
     if (begin_slot >= 0 &&
         std::sscanf(line.c_str(),
-                    "pointer trace_offset=%llu event_index=%*u slot=%lld",
-                    &offset, &ptr_slot) == 2)
+                    "pointer trace_offset=%*u event_index=%llu slot=%lld",
+                    &event_index, &ptr_slot) == 2)
       break;
   }
   ASSERT_GE(begin_slot, 0) << report;
   ASSERT_EQ(ptr_slot, begin_slot) << report;
 
-  // Resolve the pointer exactly as `trace head --at-offset` does: the
-  // events there must include the breach window's first slot.obs.
-  const auto events_at = read_events_at_offset(path, offset, 32);
-  ASSERT_FALSE(events_at.empty());
-  bool found = false;
-  for (const RecordedEvent& e : events_at)
-    if (e.kind == "slot.obs" && e.integer("t") == begin_slot) found = true;
-  EXPECT_TRUE(found) << "pointer must land on slot.obs t=" << begin_slot;
+  // Resolve the pointer as `trace head --at-event` does: the first
+  // event there is the breach window's first slot.obs.
+  const auto events_at = read_events_from(path, event_index, 1);
+  ASSERT_EQ(events_at.size(), 1u);
+  EXPECT_EQ(events_at[0].kind, "slot.obs");
+  EXPECT_EQ(events_at[0].integer("t"), begin_slot)
+      << "pointer must land on slot.obs t=" << begin_slot;
 }
 
 TEST(SloExplainEndToEnd, RejectsCsvTraces) {

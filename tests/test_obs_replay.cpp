@@ -7,7 +7,7 @@
 
 #include "common/error.h"
 #include "obs/event_log.h"
-#include "obs/jsonl.h"
+#include "obs/trace.h"
 #include "placement/baselines.h"
 #include "placement/queuing_ffd.h"
 #include "sim/cluster_sim.h"
@@ -38,11 +38,15 @@ TEST(ParseIdList, SpaceSeparated) {
 }
 
 TEST(ReplayFlightLog, RejectsSlotBeforeConfig) {
-  std::vector<obs::RecordedEvent> events;
-  auto slot = obs::parse_event_line(
-      "{\"kind\":\"slot.obs\",\"t\":0,\"active\":\"0\",\"viol\":\"\"}");
-  ASSERT_TRUE(slot.has_value());
-  events.push_back(*slot);
+  obs::EventValue t;
+  t.tag = obs::EventValue::Tag::kNumber;
+  obs::EventValue active;
+  active.tag = obs::EventValue::Tag::kString;
+  active.str = "0";
+  std::vector<obs::RecordedEvent> events(1);
+  events[0].kind = "slot.obs";
+  events[0].fields.emplace_back("t", t);
+  events[0].fields.emplace_back("active", active);
   EXPECT_THROW(replay_flight_log(events), InvalidArgument);
 }
 
@@ -57,7 +61,7 @@ TEST(ReplayFlightLog, EmptyStreamYieldsNoSegments) {
 SimReport record_run(const std::string& path, const ProblemInstance& inst,
                      const Placement& placement, const SimConfig& cfg,
                      std::uint64_t seed, const std::string& label) {
-  obs::events().open(path, obs::EventFormat::kJsonl,
+  obs::events().open(path, obs::EventFormat::kBinary,
                      obs::EventLevel::kDetail);
   obs::events().set_run_label(label);
   ClusterSimulator sim(inst, placement, cfg, Rng(seed));
@@ -92,7 +96,7 @@ TEST(ReplayFlightLog, StaticRunReproducesCvrExactly) {
   cfg.slots = 120;
   cfg.enable_migration = false;
 
-  const std::string path = temp_path("replay_static.jsonl");
+  const std::string path = temp_path("replay_static.btrc");
   const SimReport live =
       record_run(path, inst, placed.placement, cfg, 31, "static");
 
@@ -114,7 +118,7 @@ TEST(ReplayFlightLog, MigrationRunReproducesWindowedCvr) {
   SimConfig cfg;
   cfg.slots = 150;
 
-  const std::string path = temp_path("replay_migration.jsonl");
+  const std::string path = temp_path("replay_migration.btrc");
   const SimReport live =
       record_run(path, inst, placed.placement, cfg, 32, "rb-dynamic");
 
@@ -139,8 +143,8 @@ TEST(ReplayFlightLog, MultiRunLogSegmentsByLabel) {
   cfg.slots = 50;
   cfg.enable_migration = false;
 
-  const std::string path = temp_path("replay_multi.jsonl");
-  obs::events().open(path, obs::EventFormat::kJsonl,
+  const std::string path = temp_path("replay_multi.btrc");
+  obs::events().open(path, obs::EventFormat::kBinary,
                      obs::EventLevel::kDetail);
   obs::events().set_run_label("run/rb");
   ClusterSimulator sim_rb(inst, rb.placement, cfg, Rng(33));
@@ -176,8 +180,8 @@ TEST(FlightSlotRecorder, SilentWhenLogClosed) {
 TEST(FlightSlotRecorder, NoOpUnderKillSwitch) {
   // The stub must exist with the same shape and record nothing even with
   // a sink open.
-  const std::string path = temp_path("noop.jsonl");
-  obs::events().open(path, obs::EventFormat::kJsonl,
+  const std::string path = temp_path("noop.btrc");
+  obs::events().open(path, obs::EventFormat::kBinary,
                      obs::EventLevel::kDetail);
   FlightSlotRecorder recorder("noop", 4, 10, 5, 0.01);
   EXPECT_FALSE(recorder.enabled());

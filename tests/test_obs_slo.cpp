@@ -171,7 +171,7 @@ TEST(SloReport, RenderIsDeterministicKeyValue) {
 // The observability contract: replaying a recorded flight log re-derives
 // the exact SLO report the live run produced.
 TEST(SloReplay, LiveAndReplayedReportsAreIdentical) {
-  const std::string log = testing::TempDir() + "slo_replay.jsonl";
+  const std::string log = testing::TempDir() + "slo_replay.btrc";
   ProblemInstance inst;
   // Small, hot instance so violations actually happen.
   for (int i = 0; i < 12; ++i)
@@ -189,7 +189,7 @@ TEST(SloReplay, LiveAndReplayedReportsAreIdentical) {
   slo_opts.slow_window = 20;
   obs::SloTracker live(inst.n_pms(), slo_opts);
 
-  obs::events().open(log, obs::EventFormat::kJsonl,
+  obs::events().open(log, obs::EventFormat::kBinary,
                      obs::EventLevel::kDetail);
   SimConfig cfg;
   cfg.slots = 60;

@@ -24,6 +24,7 @@
 #include "fault/plan.h"
 #include "fault/recovery.h"
 #include "obs/obs.h"
+#include "obs/trace.h"
 #include "obs/trace_codec.h"
 #include "placement/baselines.h"
 #include "placement/queuing_ffd.h"
@@ -625,14 +626,21 @@ TEST(RecoveryTargetSearch, MatchesPerCandidateLadderScan) {
   EXPECT_GT(queued_ops, 0u) << "no crash ever overflowed into the queue";
 }
 
-/// Decision events of the degraded ladder in an event log.
+/// Decision events of the degraded ladder in an event log, one line per
+/// event ("key=value ..."; numbers in %.17g, so equal text means equal
+/// values).
 std::string degrade_events(const std::string& path) {
-  std::ifstream in(path);
-  std::string line;
   std::string out;
-  while (std::getline(in, line))
-    if (line.find("fault.solver.degrade") != std::string::npos)
-      out += line + '\n';
+  for (const obs::RecordedEvent& ev : obs::read_events_btrc(path)) {
+    if (ev.kind != "fault.solver.degrade") continue;
+    for (const auto& [key, v] : ev.fields) {
+      char num[32];
+      std::snprintf(num, sizeof num, "%.17g", v.num);
+      out += key + "=" +
+             (v.tag == obs::EventValue::Tag::kString ? v.str : num) + " ";
+    }
+    out += '\n';
+  }
   std::remove(path.c_str());
   return out;
 }
@@ -650,8 +658,8 @@ std::vector<std::string> drive_in_outage(const ProblemInstance& inst,
     (void)warm;
   }
   const std::string path = ::testing::TempDir() + "/recovery_outage_" +
-                           std::to_string(seed) + ".jsonl";
-  obs::events().open(path, obs::EventFormat::kJsonl,
+                           std::to_string(seed) + ".btrc";
+  obs::events().open(path, obs::EventFormat::kBinary,
                      obs::EventLevel::kDecisions);
   obs::Counter& faults = obs::metrics().counter("fault.solver.faults");
   const std::uint64_t faults_before = faults.value();
